@@ -237,92 +237,6 @@ func TestChaosTransientDeterministic(t *testing.T) {
 	}
 }
 
-// Lockstep batching is byte-transparent: -batch K renders output
-// identical to the unbatched run for any K and worker count, with and
-// without the cache, and under transient chaos (where faulted lanes are
-// retried solo and must not perturb batched siblings).
-func TestBatchByteIdentical(t *testing.T) {
-	base, _, code := runBench(t, "-quick", "-experiment", "F6", "-parallel", "1")
-	if code != 0 {
-		t.Fatalf("baseline exit %d", code)
-	}
-	for _, extra := range [][]string{
-		{"-batch", "2", "-parallel", "1"},
-		{"-batch", "4", "-parallel", "4"},
-		{"-batch", "16", "-parallel", "8"},
-		{"-batch", "4", "-parallel", "8", "-nocache"},
-		{"-batch", "4", "-parallel", "4", "-chaos", "error=0.2,cancel=0.1,seed=7"},
-	} {
-		args := append([]string{"-quick", "-experiment", "F6"}, extra...)
-		out, errOut, code := runBench(t, args...)
-		if code != 0 {
-			t.Fatalf("%v: exit %d\nstderr:\n%s", extra, code, errOut)
-		}
-		if out != base {
-			t.Errorf("%v: batched output differs from unbatched baseline", extra)
-		}
-	}
-}
-
-// The flush window is a scheduling knob, not a semantic one: any
-// -batch-wait value — from flush-immediately to well past every
-// group-fill — renders output byte-identical to the unbatched baseline.
-func TestBatchWaitByteIdentical(t *testing.T) {
-	base, _, code := runBench(t, "-quick", "-experiment", "F6", "-parallel", "1")
-	if code != 0 {
-		t.Fatalf("baseline exit %d", code)
-	}
-	for _, wait := range []string{"1ns", "200us", "50ms"} {
-		out, errOut, code := runBench(t, "-quick", "-experiment", "F6",
-			"-batch", "4", "-parallel", "4", "-batch-wait", wait)
-		if code != 0 {
-			t.Fatalf("batch-wait=%s: exit %d\nstderr:\n%s", wait, code, errOut)
-		}
-		if out != base {
-			t.Errorf("batch-wait=%s: output differs from unbatched baseline", wait)
-		}
-	}
-}
-
-// -batch composes with -resume: journaled lanes restore from the
-// checkpoint without re-execution (no cache_misses in run_done), and the
-// resumed batched output is byte-identical to the batched first run.
-func TestCheckpointResumeBatched(t *testing.T) {
-	dir := t.TempDir()
-	ev := filepath.Join(t.TempDir(), "ev.json")
-
-	out1, _, code := runBench(t, "-quick", "-experiment", "F6", "-batch", "4", "-checkpoint", dir)
-	if code != 0 {
-		t.Fatalf("first run exit %d", code)
-	}
-	out2, _, code := runBench(t, "-quick", "-experiment", "F6", "-batch", "4", "-checkpoint", dir, "-resume", "-events", ev)
-	if code != 0 {
-		t.Fatalf("resumed run exit %d", code)
-	}
-	if out2 != out1 {
-		t.Errorf("batched resume differs:\n--- first ---\n%s\n--- resumed ---\n%s", out1, out2)
-	}
-	events, err := os.ReadFile(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDone := ""
-	for _, line := range strings.Split(string(events), "\n") {
-		if strings.Contains(line, `"run_done"`) {
-			runDone = line
-		}
-	}
-	if runDone == "" {
-		t.Fatalf("no run_done event:\n%s", events)
-	}
-	if strings.Contains(runDone, `"cache_misses"`) {
-		t.Errorf("batched resume re-executed journaled sims: %s", runDone)
-	}
-	if !strings.Contains(runDone, `"checkpoint_restored"`) {
-		t.Errorf("batched resume restored nothing: %s", runDone)
-	}
-}
-
 // Checkpoint/resume: a resumed run must render byte-identical output
 // while re-executing zero journaled simulations (run_done shows no cache
 // misses, only checkpoint restores).

@@ -101,57 +101,44 @@ func lastEvent(t *testing.T, path, typ string) string {
 
 // Phase 1 differential proof: a 4-way static shard of the expansion study,
 // merged and resumed, renders byte-identical output to the single-process
-// run while re-executing zero simulations. The batch4 variant runs the
-// same drill with -batch 4 on every shard and on the resume: lockstep
-// batching composes with sharding and checkpoint restore without moving
-// a byte.
+// run while re-executing zero simulations.
 func TestShardMergeResumeByteIdentical(t *testing.T) {
 	single, _, code := runBench(t, "-quick", "-experiment", "F6")
 	if code != exitOK {
 		t.Fatalf("single-process exit %d", code)
 	}
 
-	for _, tc := range []struct {
-		name  string
-		extra []string
-	}{
-		{"unbatched", nil},
-		{"batch4", []string{"-batch", "4"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			for i := 0; i < 4; i++ {
-				args := append([]string{"-quick", "-experiment", "F6", "-checkpoint", dir, "-shard", fmt.Sprintf("%d/4", i)}, tc.extra...)
-				if _, errOut, code := runBench(t, args...); code != exitOK {
-					t.Fatalf("shard %d exit %d: %s", i, code, errOut)
-				}
+	t.Run("unbatched", func(t *testing.T) {
+		dir := t.TempDir()
+		for i := 0; i < 4; i++ {
+			if _, errOut, code := runBench(t, "-quick", "-experiment", "F6", "-checkpoint", dir, "-shard", fmt.Sprintf("%d/4", i)); code != exitOK {
+				t.Fatalf("shard %d exit %d: %s", i, code, errOut)
 			}
-			mergeOut, _, code := runBench(t, "-merge", dir)
-			if code != exitOK {
-				t.Fatalf("merge exit %d", code)
-			}
-			if !strings.Contains(mergeOut, "from 4 journal(s)") {
-				t.Errorf("merge summary:\n%s", mergeOut)
-			}
+		}
+		mergeOut, _, code := runBench(t, "-merge", dir)
+		if code != exitOK {
+			t.Fatalf("merge exit %d", code)
+		}
+		if !strings.Contains(mergeOut, "from 4 journal(s)") {
+			t.Errorf("merge summary:\n%s", mergeOut)
+		}
 
-			ev := filepath.Join(t.TempDir(), "ev.json")
-			args := append([]string{"-quick", "-experiment", "F6", "-checkpoint", dir, "-resume", "-events", ev}, tc.extra...)
-			merged, _, code := runBench(t, args...)
-			if code != exitOK {
-				t.Fatalf("resume exit %d", code)
-			}
-			if merged != single {
-				t.Errorf("merged output differs from single-process:\n--- single ---\n%s\n--- merged ---\n%s", single, merged)
-			}
-			runDone := lastEvent(t, ev, "run_done")
-			if strings.Contains(runDone, `"cache_misses"`) {
-				t.Errorf("resume from merged journal re-executed simulations: %s", runDone)
-			}
-			if !strings.Contains(runDone, `"checkpoint_restored"`) {
-				t.Errorf("resume restored nothing: %s", runDone)
-			}
-		})
-	}
+		ev := filepath.Join(t.TempDir(), "ev.json")
+		merged, _, code := runBench(t, "-quick", "-experiment", "F6", "-checkpoint", dir, "-resume", "-events", ev)
+		if code != exitOK {
+			t.Fatalf("resume exit %d", code)
+		}
+		if merged != single {
+			t.Errorf("merged output differs from single-process:\n--- single ---\n%s\n--- merged ---\n%s", single, merged)
+		}
+		runDone := lastEvent(t, ev, "run_done")
+		if strings.Contains(runDone, `"cache_misses"`) {
+			t.Errorf("resume from merged journal re-executed simulations: %s", runDone)
+		}
+		if !strings.Contains(runDone, `"checkpoint_restored"`) {
+			t.Errorf("resume restored nothing: %s", runDone)
+		}
+	})
 }
 
 // The tentpole's acceptance proof, phase 2: a dynamic sweep whose worker

@@ -48,15 +48,6 @@ type Observer struct {
 	surr        map[string]float64
 	surrUnkeyed uint64
 
-	// batchFast and batchFall record batching outcomes per distinct
-	// simulation, keyed like contribs so re-submissions dedupe: a key in
-	// batchFast took the lockstep fast path, a key in batchFall maps to
-	// its sim.BatchFallbackReason label. batchUnkeyed tallies
-	// unfingerprintable lanes by the same reason labels ("" = fast).
-	batchFast    map[string]struct{}
-	batchFall    map[string]string
-	batchUnkeyed map[string]uint64
-
 	// collPool recycles per-run collectors: RunStart draws one and re-arms
 	// its retained arrival FIFOs in place, RunDone returns it after
 	// committing. A steady-state sweep therefore collects with ~0
@@ -294,36 +285,6 @@ func (o *Observer) ObserveSurrogate(cfg sim.Config, pt core.Pattern, bound float
 	o.mu.Unlock()
 }
 
-// ObserveBatchLane records one batched simulation call's outcome:
-// reason "" means the lane was admitted to the lockstep fast path,
-// otherwise it is the sim.BatchFallbackReason label for why the call
-// forwarded to the scalar engine. Keyed by the same content fingerprint
-// as simulations, so the efficacy counters stay a pure function of the
-// distinct submitted set for any worker count. The Batcher's Observe
-// field takes this method directly.
-func (o *Observer) ObserveBatchLane(cfg sim.Config, pt core.Pattern, reason string) {
-	key, ok := SimKey(cfg, pt)
-	o.mu.Lock()
-	switch {
-	case !ok:
-		if o.batchUnkeyed == nil {
-			o.batchUnkeyed = make(map[string]uint64)
-		}
-		o.batchUnkeyed[reason]++
-	case reason == "":
-		if o.batchFast == nil {
-			o.batchFast = make(map[string]struct{})
-		}
-		o.batchFast[key] = struct{}{}
-	default:
-		if o.batchFall == nil {
-			o.batchFall = make(map[string]string)
-		}
-		o.batchFall[key] = reason
-	}
-	o.mu.Unlock()
-}
-
 // ObservePoint records one point execution's wall time.
 func (o *Observer) ObservePoint(d time.Duration) {
 	o.volMu.Lock()
@@ -431,31 +392,6 @@ func (o *Observer) Registry() *metrics.Registry {
 			}
 		}
 		reg.Gauge("dxbsp_surrogate_maxrelerr", "worst pinned error bound among routed regimes").Set(bound)
-	}
-	// Batch-efficacy series exist only when batching ran: a run without
-	// -batch exports the exact same series set as before the batcher
-	// existed, so metrics goldens are unaffected.
-	if len(o.batchFast) > 0 || len(o.batchFall) > 0 || len(o.batchUnkeyed) > 0 {
-		fast := float64(len(o.batchFast)) + float64(o.batchUnkeyed[""])
-		reg.Counter("dxbsp_batch_fast_lanes", "batched simulation calls admitted to the lockstep fast path").Add(fast)
-		byReason := make(map[string]float64)
-		for _, r := range o.batchFall {
-			byReason[r]++
-		}
-		for r, n := range o.batchUnkeyed {
-			if r != "" {
-				byReason[r] += float64(n)
-			}
-		}
-		reasons := make([]string, 0, len(byReason))
-		for r := range byReason {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		for _, r := range reasons {
-			reg.Counter("dxbsp_batch_fallback_lanes", "batched simulation calls forwarded to the scalar engine",
-				metrics.WithLabels(metrics.Label{Key: "reason", Value: r})).Add(byReason[r])
-		}
 	}
 	unkeyed := o.unkeyed
 	o.mu.Unlock()

@@ -58,6 +58,47 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 	}
 }
 
+// eventEngine is a SimRunner that answers every simulation on the event
+// engine, bypassing RunContext's dispatch to the closed-form kernel.
+type eventEngine struct{}
+
+func (eventEngine) RunSim(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
+	e := sim.AcquireEngine()
+	defer sim.ReleaseEngine(e)
+	return e.Run(ctx, cfg, pt)
+}
+
+// sim.RunContext answers kernel-eligible simulations on the closed-form
+// kernel; every experiment must render byte-identically when the event
+// engine answers all of its runner-routed simulations instead. (The
+// vector facade calls sim.Run directly, so its simulations take the
+// kernel on both sides; the sim package's oracles cover those.) T3 is
+// excluded for its wall-clock column.
+func TestKernelDispatchByteIdentical(t *testing.T) {
+	ctx := context.Background()
+	cfg := experiments.QuickConfig()
+	evCfg := cfg
+	evCfg.Sim = eventEngine{}
+	r := &Runner{Parallel: 2}
+	for _, e := range experiments.All() {
+		if e.ID == "T3" {
+			continue
+		}
+		want, err := r.RunExperiment(ctx, e, evCfg)
+		if err != nil {
+			t.Fatalf("%s on the event engine: %v", e.ID, err)
+		}
+		got, err := r.RunExperiment(ctx, e, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if g, w := render(t, got.Output), render(t, want.Output); g != w {
+			t.Errorf("%s: kernel-dispatched output differs from the event engine's\n--- event ---\n%s\n--- dispatched ---\n%s",
+				e.ID, w, g)
+		}
+	}
+}
+
 // Sweeps share simulation baselines (the contention sweep appears in T2,
 // F2, X2 and X5; X13 re-derives its open-loop baseline per point), so a
 // suite run must hit the cache.

@@ -29,7 +29,7 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	}
 	measure := func(pt core.Pattern, cfg Config) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(cfg, pt); err != nil {
+			if _, err := runEvent(cfg, pt); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -57,9 +57,9 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 }
 
 // TestProbesOffAllocBudget pins the absolute steady-state budget: with no
-// probe attached, a warm run through the pooled engine performs zero
-// allocations — Run draws a recycled Engine whose wheel buckets, rings
-// and bookkeeping slices are re-armed in place. The budget of 8 (the
+// probe attached, a warm run through the pooled event engine performs
+// zero allocations — AcquireEngine draws a recycled Engine whose wheel
+// buckets, rings and bookkeeping slices are re-armed in place. The budget of 8 (the
 // pre-pooling per-run setup cost) leaves room for pool misses under GC
 // pressure. The observability hooks are nil-checked pointer tests, so
 // probes-off must not add a single allocation — if this fails after
@@ -88,7 +88,7 @@ func TestProbesOffAllocBudget(t *testing.T) {
 		// first of the 10 runs, so growth is amortized below one alloc
 		// and the average floors at the per-run setup cost.
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := Run(tc.cfg, pt); err != nil {
+			if _, err := runEvent(tc.cfg, pt); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -96,5 +96,41 @@ func TestProbesOffAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per probes-off run, budget is %d", tc.name, allocs, budget)
 		}
 		t.Logf("%s: %.1f allocs per run (budget %d)", tc.name, allocs, budget)
+	}
+}
+
+// TestRunKernelZeroAllocs pins RunContext's kernel path: a warm K=1 run
+// of each kernel-eligible regime on the pooled BatchEngine allocates
+// nothing: every arena is retained and the one-lane config slice stays
+// on the stack.
+func TestRunKernelZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement under -short")
+	}
+	if raceEnabled {
+		t.Skip("race mode defeats sync.Pool caching, so the pooled-run budget cannot hold")
+	}
+	m := core.J90()
+	pt := core.NewPattern(patterns.Uniform(1<<14, 1<<30, rng.New(7)), m.Procs)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"open-loop", Config{Machine: m}},
+		{"windowed", Config{Machine: m, Window: 8}},
+		{"dram", Config{Machine: m, Bank: BankConfig{Discipline: DRAM}}},
+		{"regulated", Config{Machine: m, Bank: BankConfig{Discipline: Regulated}, Window: 4}},
+	} {
+		if !BatchEligible(tc.cfg) {
+			t.Fatalf("%s: not kernel-eligible", tc.name)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := Run(tc.cfg, pt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per warm kernel run, want 0", tc.name, allocs)
+		}
 	}
 }

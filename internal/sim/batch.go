@@ -38,9 +38,13 @@ import (
 // scalar engine inside the batch — still one call, still
 // byte-identical, just without the lockstep speedup.
 //
+// RunContext runs every eligible config on a pooled BatchEngine as a
+// one-lane batch, so the closed form is the default simulator for the
+// whole eligible regime, not only for explicit batches.
+//
 // Like Engine, a BatchEngine is single-run at a time and retains every
 // arena across Reset, so warm batches allocate nothing
-// (TestBatchEngineReuseZeroAllocs pins it).
+// (TestBatchEngineReuseZeroAllocs and TestRunKernelZeroAllocs pin it).
 type BatchEngine struct {
 	// Per-lane parameter SoA, all len K. fast marks lockstep lanes.
 	cfgs []Config
@@ -152,12 +156,10 @@ type BatchEngine struct {
 
 	beSorter busyEvSorter
 
-	// Per-lane boxed-default-BankMap caches, mirroring Engine.defMap:
+	// Per-lane boxed-default-BankMap caches, mirroring Engine.def:
 	// re-boxing the default interleave map every Reset would cost one
 	// allocation per lane per batch.
-	defMaps  []core.BankMap
-	defBanks []int
-	defGPU   []bool
+	defs []defaultMap
 
 	results []Result
 
@@ -256,19 +258,18 @@ func bankOf(kind mapKind, arg uint64, bm core.BankMap, addr uint64) int {
 // a BatchEngine: open- or closed-loop FIFO, Regulated, or ungrouped
 // single-row DRAM, with no combining, no section bottleneck and no
 // probe. Ineligible configs still run correctly in a batch (on the
-// embedded scalar engine), they just don't share the lockstep pass;
-// callers that group work (runner.Batcher) use this to batch only where
-// batching pays. Equivalent to BatchFallbackReason(cfg) == "".
+// embedded scalar engine), they just don't share the lockstep pass.
+// RunContext uses it to pick the kernel over the event engine.
+// Equivalent to BatchFallbackReason(cfg) == "".
 func BatchEligible(cfg Config) bool {
 	return BatchFallbackReason(cfg) == ""
 }
 
 // BatchFallbackReason returns "" when cfg is lockstep-eligible, or a
-// short stable label naming the structural reason it is not — the label
-// set the runner's batch-efficacy metrics report. It is deterministic on
-// raw and normalized configs alike (the runner's Batcher classifies raw
-// configs), so the one default it must anticipate is DRAM's CacheLines,
-// where unset means one open row.
+// short stable label naming the structural reason it is not. It is
+// deterministic on raw and normalized configs alike (RunContext
+// classifies raw configs), so the one default it must anticipate is
+// DRAM's CacheLines, where unset means one open row.
 func BatchFallbackReason(cfg Config) string {
 	if cfg.Combining {
 		return "combining"
@@ -354,8 +355,37 @@ func RunBatch(ctx context.Context, cfgs []Config, pt core.Pattern) ([]Result, er
 // simulates, with the error naming the lane. The returned slice is owned
 // by the engine and valid until the next Run or release.
 func (b *BatchEngine) Run(ctx context.Context, cfgs []Config, pt core.Pattern) ([]Result, error) {
-	if err := b.reset(cfgs, pt); err != nil {
+	if lane, err := b.run(ctx, cfgs, pt); err != nil {
+		if lane >= 0 {
+			err = fmt.Errorf("sim: batch lane %d: %w", lane, err)
+		}
 		return nil, err
+	}
+	return b.results, nil
+}
+
+// runOne is RunContext's kernel path: cfg alone at K=1. The one-lane
+// slice does not escape, so a warm run allocates nothing. Its admission
+// errors carry no lane prefix, so a bad config reads exactly as it does
+// on the event engine.
+func (b *BatchEngine) runOne(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
+	if _, err := b.run(ctx, []Config{cfg}, pt); err != nil {
+		return Result{}, err
+	}
+	return b.results[0], nil
+}
+
+// run is Run without the lane prefix: it returns the failing lane's
+// index with its error, or -1 when the failure is not one lane's.
+func (b *BatchEngine) run(ctx context.Context, cfgs []Config, pt core.Pattern) (int, error) {
+	if lane, err := b.reset(cfgs, pt); err != nil {
+		return lane, err
+	}
+	// The kernel polls ctx only every batchPollRequests lane-requests, so
+	// a run that is already cancelled must fail here rather than finish
+	// quietly, as the event engine would fail at its first poll.
+	if err := ctx.Err(); err != nil {
+		return -1, fmt.Errorf("sim: cancelled before the first request: %w", err)
 	}
 	// Non-fast lanes run first on the embedded scalar engine; lane order
 	// in the results is preserved regardless of execution order.
@@ -365,19 +395,17 @@ func (b *BatchEngine) Run(ctx context.Context, cfgs []Config, pt core.Pattern) (
 		}
 		res, err := b.scalar.Run(ctx, b.cfgs[i], pt)
 		if err != nil {
-			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
+			return i, err
 		}
 		b.results[i] = res
 	}
-	if err := b.runFast(ctx, pt); err != nil {
-		return nil, err
-	}
-	return b.results, nil
+	return -1, b.runFast(ctx, pt)
 }
 
 // reset validates every lane and re-arms the SoA state, reusing retained
-// storage. Mirrors Engine.Reset lane by lane.
-func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) error {
+// storage. Mirrors Engine.Reset lane by lane; on error it returns the
+// failing lane's index.
+func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) (int, error) {
 	k := len(cfgs)
 	np := pt.Procs()
 	b.cfgs = growSlice(b.cfgs, k)
@@ -412,11 +440,7 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) error {
 	b.busyEvs = growNested(b.busyEvs, k)
 	b.results = growSlice(b.results, k)
 	b.laneIdx = b.laneIdx[:0]
-	if cap(b.defMaps) < k {
-		b.defMaps = make([]core.BankMap, k)
-		b.defBanks = make([]int, k)
-		b.defGPU = make([]bool, k)
-	}
+	b.defs = growSlice(b.defs, k)
 
 	// nonEmpty replays the scalar reset's initial injection scheduling:
 	// one evInject seq per processor with a non-empty stream, assigned
@@ -431,29 +455,9 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) error {
 	total, vTotal, wTotal := 0, 0, 0
 	b.allPlain = true
 	for i, cfg := range cfgs {
-		if err := cfg.Machine.Validate(); err != nil {
-			return fmt.Errorf("sim: batch lane %d: %w", i, err)
-		}
-		if cfg.BankMap == nil {
-			gpu := cfg.Bank.Discipline == GPUShared
-			if b.defMaps[i] == nil || b.defBanks[i] != cfg.Machine.Banks || b.defGPU[i] != gpu {
-				if gpu {
-					b.defMaps[i] = core.GPUSharedMap{Banks: cfg.Machine.Banks}
-				} else {
-					b.defMaps[i] = core.InterleaveMap{Banks: cfg.Machine.Banks}
-				}
-				b.defBanks[i] = cfg.Machine.Banks
-				b.defGPU[i] = gpu
-			}
-			cfg.BankMap = b.defMaps[i]
-		}
-		cfg = cfg.Normalize()
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("sim: batch lane %d: %w", i, err)
-		}
-		if pt.Procs() > cfg.Machine.Procs {
-			return fmt.Errorf("sim: batch lane %d: pattern has %d processor streams but machine has %d processors",
-				i, pt.Procs(), cfg.Machine.Procs)
+		cfg, err := prepare(cfg, pt, &b.defs[i])
+		if err != nil {
+			return i, err
 		}
 		b.cfgs[i] = cfg
 		b.fast[i] = BatchEligible(cfg)
@@ -571,7 +575,7 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) error {
 	b.rCandT = growSlice(b.rCandT, np)
 	b.rCandA = growSlice(b.rCandA, np)
 	b.rComp = growNested(b.rComp, np)
-	return nil
+	return -1, nil
 }
 
 // growSlice returns s resized to length n, reusing capacity and zeroing

@@ -129,7 +129,7 @@ func FuzzBatchVsScalar(f *testing.F) {
 			t.Fatalf("RunBatch: %v", err)
 		}
 		for i, cfg := range cfgs {
-			want, err := Run(cfg, pt)
+			want, err := runEvent(cfg, pt)
 			if err != nil {
 				t.Fatalf("lane %d scalar: %v", i, err)
 			}

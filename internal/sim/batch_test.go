@@ -77,7 +77,7 @@ func TestBatchMatchesScalarGolden128(t *testing.T) {
 		if BatchEligible(cfg) {
 			fast++
 		}
-		want, err := Run(cfg, pt)
+		want, err := runEvent(cfg, pt)
 		if err != nil {
 			t.Fatalf("lane %d scalar: %v", i, err)
 		}
@@ -117,7 +117,7 @@ func TestBatchMatchesScalarCustomMapAndShapes(t *testing.T) {
 		if !BatchEligible(cfg) {
 			t.Fatalf("lane %d unexpectedly ineligible", i)
 		}
-		want, err := Run(cfg, pt)
+		want, err := runEvent(cfg, pt)
 		if err != nil {
 			t.Fatalf("lane %d scalar: %v", i, err)
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,5 +74,54 @@ func TestRunContextSmallPattern(t *testing.T) {
 		}
 	} else if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v does not wrap context.Canceled", err)
+	}
+}
+
+// pollCtx reports cancellation from its (n+1)-th Err poll on, so a test
+// can cancel a run at a chosen poll instead of racing a timer.
+type pollCtx struct {
+	context.Context
+	n int
+}
+
+func (c *pollCtx) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// A windowed run on the kernel detaches into the per-lane replay at its
+// first window stall; cancelling after the entry check must interrupt
+// the replay mid-flight and surface context.Canceled.
+func TestRunContextCancelledInReplay(t *testing.T) {
+	cfg := Config{Machine: core.Machine{Name: "w", Procs: 4, Banks: 16, D: 6, G: 1, L: 8}, Window: 1}
+	if !BatchEligible(cfg) {
+		t.Fatal("windowed FIFO config is not kernel-eligible")
+	}
+	pt := core.NewPattern(seqAddrs(8*batchPollRequests), 4)
+	ctx := &pollCtx{Context: context.Background(), n: 1}
+	_, err := RunContext(ctx, cfg, pt)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v does not wrap context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "replay") {
+		t.Errorf("error %q did not come from the replay's poll", err)
+	}
+
+	// With polls to spare the same run completes and matches the event
+	// engine, so the cancellation above interrupted a run that would
+	// otherwise have succeeded.
+	got, err := RunContext(&pollCtx{Context: context.Background(), n: 1 << 30}, cfg, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runEvent(cfg, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("kernel %+v != event engine %+v", got, want)
 	}
 }

@@ -51,11 +51,15 @@
 // Run simulates one superstep; RunSupersteps chains several with a barrier
 // between each. Both are thin wrappers over their context variants
 // (RunContext, RunSuperstepsContext), which add cooperative cancellation.
-// These entry points execute on pooled engines, so steady-state runs
-// allocate nothing.
+// RunContext answers every BatchEligible configuration on the closed-form
+// kernel (BatchEngine at one lane) and the rest on the event engine, with
+// byte-identical results either way. Both execute on pooled engines, so
+// steady-state runs allocate nothing.
 //
 // Callers that manage their own reuse — a benchmark harness, a worker pool
-// with per-worker engines — can hold an Engine directly: NewEngine for an
-// unpooled instance, or AcquireEngine/ReleaseEngine to borrow from the
-// package pool that Run itself uses.
+// with per-worker engines — can hold an event Engine directly: NewEngine
+// for an unpooled instance, or AcquireEngine/ReleaseEngine to borrow from
+// the package pool. An Engine always runs the event engine, which makes it
+// the kernel's oracle in tests. RunBatch runs several configurations over
+// one pattern in a single lockstep pass.
 package sim

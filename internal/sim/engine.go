@@ -7,8 +7,11 @@ import (
 	"dxbsp/internal/core"
 )
 
-// Engine is a reusable simulator instance. A fresh Engine behaves exactly
-// like Run; the difference is lifecycle: Reset re-arms the same instance
+// Engine is a reusable instance of the event engine. It runs every
+// configuration event by event; Run and RunContext instead send
+// BatchEligible configs to the closed-form kernel, with byte-identical
+// results, so Engine is the oracle the kernel's tests compare against.
+// Its lifecycle is the point of the type: Reset re-arms the same instance
 // for another run while retaining every internal allocation — the
 // calendar-queue buckets, the per-bank and per-section rings, the
 // processor and bank bookkeeping slices — so a sweep that runs thousands
@@ -20,15 +23,53 @@ import (
 // Engine to one goroutine at a time.
 type Engine struct {
 	eng engine
+	def defaultMap
+}
 
-	// defMap caches the boxed default BankMap (interleave, or the GPU
-	// word-interleaved map under the GPUShared discipline) so repeated
-	// runs of a BankMap-less config do not re-box it into the interface
-	// every Reset (one allocation per run otherwise). Engine-owned and
-	// stateless, so it survives release and pins nothing.
-	defMap   core.BankMap
-	defBanks int
-	defGPU   bool
+// defaultMap caches the boxed default BankMap (interleave, or the GPU
+// word-interleaved map under the GPUShared discipline) so repeated runs
+// of a BankMap-less config do not re-box it into the interface every
+// reset (one allocation per run otherwise). Engine-owned and stateless,
+// so it survives release and pins nothing.
+type defaultMap struct {
+	m     core.BankMap
+	banks int
+	gpu   bool
+}
+
+func (d *defaultMap) of(cfg Config) core.BankMap {
+	gpu := cfg.Bank.Discipline == GPUShared
+	if d.m == nil || d.banks != cfg.Machine.Banks || d.gpu != gpu {
+		if gpu {
+			d.m = core.GPUSharedMap{Banks: cfg.Machine.Banks}
+		} else {
+			d.m = core.InterleaveMap{Banks: cfg.Machine.Banks}
+		}
+		d.banks = cfg.Machine.Banks
+		d.gpu = gpu
+	}
+	return d.m
+}
+
+// prepare is the admission check every engine runs before a simulation:
+// it validates the machine, fills the default bank map from dm,
+// normalizes and validates cfg, and checks pt against the machine.
+func prepare(cfg Config, pt core.Pattern, dm *defaultMap) (Config, error) {
+	if err := cfg.Machine.Validate(); err != nil {
+		return cfg, err
+	}
+	if cfg.BankMap == nil {
+		cfg.BankMap = dm.of(cfg)
+	}
+	cfg = cfg.Normalize()
+	if err := cfg.Validate(); err != nil {
+		return cfg, err
+	}
+	if pt.Procs() > cfg.Machine.Procs {
+		return cfg, fmt.Errorf("sim: pattern has %d processor streams but machine has %d processors",
+			pt.Procs(), cfg.Machine.Procs)
+	}
+	return cfg, nil
 }
 
 // NewEngine returns an empty Engine. The first Run (or Reset) sizes its
@@ -42,29 +83,9 @@ func NewEngine() *Engine { return &Engine{} }
 // Reset plus the event loop; Reset exists separately so a pool can
 // pre-warm an engine's allocations ahead of the timed region.
 func (E *Engine) Reset(cfg Config, pt core.Pattern) error {
-	if err := cfg.Machine.Validate(); err != nil {
+	cfg, err := prepare(cfg, pt, &E.def)
+	if err != nil {
 		return err
-	}
-	if cfg.BankMap == nil {
-		gpu := cfg.Bank.Discipline == GPUShared
-		if E.defMap == nil || E.defBanks != cfg.Machine.Banks || E.defGPU != gpu {
-			if gpu {
-				E.defMap = core.GPUSharedMap{Banks: cfg.Machine.Banks}
-			} else {
-				E.defMap = core.InterleaveMap{Banks: cfg.Machine.Banks}
-			}
-			E.defBanks = cfg.Machine.Banks
-			E.defGPU = gpu
-		}
-		cfg.BankMap = E.defMap
-	}
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if pt.Procs() > cfg.Machine.Procs {
-		return fmt.Errorf("sim: pattern has %d processor streams but machine has %d processors",
-			pt.Procs(), cfg.Machine.Procs)
 	}
 	E.eng.reset(cfg, pt)
 	return nil

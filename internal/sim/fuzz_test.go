@@ -86,7 +86,7 @@ func FuzzSimVsReference(f *testing.F) {
 		pt := core.NewPattern(addrs, p)
 		cfg := Config{Machine: m, NetDelay: nd, Bank: bank}
 
-		ev, err := Run(cfg, pt)
+		ev, err := runEvent(cfg, pt)
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}

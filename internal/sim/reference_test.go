@@ -21,7 +21,7 @@ func TestReferenceAgreesWithEngine(t *testing.T) {
 			addrs[i] = g.Uint64n(256)
 		}
 		pt := core.NewPattern(addrs, m.Procs)
-		ev, err := Run(Config{Machine: m}, pt)
+		ev, err := runEvent(Config{Machine: m}, pt)
 		if err != nil {
 			return false
 		}
@@ -47,7 +47,7 @@ func TestReferenceAgreesOnCanonicalPatterns(t *testing.T) {
 	}
 	for name, addrs := range cases {
 		pt := core.NewPattern(addrs, m.Procs)
-		ev, err := Run(Config{Machine: m}, pt)
+		ev, err := runEvent(Config{Machine: m}, pt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

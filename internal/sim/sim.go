@@ -364,12 +364,13 @@ func Run(cfg Config, pt core.Pattern) (Result, error) {
 // engine.release), so the pool never pins a caller's pattern or probe.
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
-// AcquireEngine borrows an Engine from the package pool that Run and
-// RunContext draw from — warm in the steady state, so the borrow costs no
-// allocation. Callers that issue many runs from one goroutine (a worker
-// loop, a benchmark) can hold the engine across all of them instead of
-// paying a pool round-trip per run. Every AcquireEngine must be paired
-// with ReleaseEngine; an engine is single-run at a time (see Engine).
+// AcquireEngine borrows an event Engine from the package pool — warm in
+// the steady state, so the borrow costs no allocation. Callers that
+// issue many runs from one goroutine (a worker loop, a benchmark) can
+// hold the engine across all of them instead of paying a pool
+// round-trip per run, and tests use it to pin the event engine as the
+// kernel's oracle. Every AcquireEngine must be paired with
+// ReleaseEngine; an engine is single-run at a time (see Engine).
 func AcquireEngine() *Engine {
 	return enginePool.Get().(*Engine)
 }
@@ -384,18 +385,28 @@ func ReleaseEngine(e *Engine) {
 	enginePool.Put(e)
 }
 
-// RunContext is Run with cooperative cancellation: the event loop polls
-// ctx every cancelCheckEvents events, so timeouts, retries and chaos
-// cancellation interrupt a simulation mid-flight instead of waiting for
-// it to finish. Polling reads no simulation state, so an uncancelled
-// RunContext produces cycle counts byte-identical to Run.
+// RunContext is Run with cooperative cancellation. It answers every
+// BatchEligible config on the closed-form kernel (a pooled BatchEngine at
+// K=1) and every other config — GPU shared memory, bank groups,
+// multi-row DRAM, row caches, combining, sections, probes — on a pooled
+// event Engine. Both give byte-identical Results (the golden grid and
+// FuzzBatchVsScalar pin it), so the dispatch is invisible to callers.
 //
-// Runs execute on pooled engines (AcquireEngine/ReleaseEngine):
-// Engine.Reset re-arms every piece of retained state over its full new
-// extent, so reuse is invisible — results are byte-identical to a fresh
-// engine's — and the steady-state allocation cost of a run is ~0
-// (TestProbesOffAllocBudget pins it).
+// Both paths poll ctx while they run (the event loop every
+// cancelCheckEvents events, the kernel every batchPollRequests
+// lane-requests), so timeouts, retries and chaos cancellation interrupt
+// a simulation mid-flight; the kernel also fails a run whose ctx is
+// already done. Polling reads no simulation state, so an uncancelled
+// RunContext is byte-identical to Run. Pooled engines re-arm all their
+// retained state at reset, so reuse is invisible and a warm run
+// allocates nothing (TestProbesOffAllocBudget, TestRunKernelZeroAllocs).
 func RunContext(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
+	if BatchEligible(cfg) {
+		b := AcquireBatchEngine()
+		res, err := b.runOne(ctx, cfg, pt)
+		ReleaseBatchEngine(b)
+		return res, err
+	}
 	e := AcquireEngine()
 	res, err := e.Run(ctx, cfg, pt)
 	ReleaseEngine(e)

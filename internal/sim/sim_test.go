@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,6 +14,16 @@ func testMachine() core.Machine {
 		Name: "test", Procs: 4, Banks: 64, D: 6, G: 1, L: 0,
 		Sections: 4, SectionGap: 0.5,
 	}
+}
+
+// runEvent runs cfg on a pooled event Engine whatever its eligibility.
+// Run answers BatchEligible configs on the closed-form kernel, so tests
+// that use the event engine as an oracle, or that measure the event loop
+// itself, call this instead.
+func runEvent(cfg Config, pt core.Pattern) (Result, error) {
+	e := AcquireEngine()
+	defer ReleaseEngine(e)
+	return e.Run(context.Background(), cfg, pt)
 }
 
 func seqAddrs(n int) []uint64 {

@@ -238,22 +238,6 @@ func (s SweepSpec) patternKey() string {
 	return key
 }
 
-// simOracle runs one validation point through the simulator, taking the
-// batched lockstep engine when the config is eligible — the same engine
-// production sweeps route through — and the scalar engine otherwise.
-// The two are byte-identical by the batch engine's contract, so
-// everything measured against this oracle is independent of the route.
-func simOracle(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result, error) {
-	if sim.BatchEligible(cfg) {
-		res, err := sim.RunBatch(ctx, []sim.Config{cfg}, pt)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return res[0], nil
-	}
-	return sim.RunContext(ctx, cfg, pt)
-}
-
 // MeasureEnvelope runs the validation sweep through the simulator and
 // the surrogate and returns the per-regime error envelope. It is the
 // generator for the pinned testdata and the docs table, and the test
@@ -261,7 +245,7 @@ func simOracle(ctx context.Context, cfg sim.Config, pt core.Pattern) (sim.Result
 //
 // The simulator side goes through the batched lockstep engine: eligible
 // lanes group by shared pattern into sim.RunBatch calls, ineligible
-// configs take the scalar engine. Every batched lane is byte-identical
+// configs take sim.RunContext. Every batched lane is byte-identical
 // to its solo run, so the measured envelope — and the committed pin —
 // is bit-for-bit unchanged by the routing (TestEnvelopePin asserts
 // this against the raw testdata bytes).

@@ -131,6 +131,49 @@ func TestWorkersShareManifestWithoutOverlap(t *testing.T) {
 	}
 }
 
+// The claim race behind duplicate execution: a peer finishes a range —
+// MarkDone, then Release — between this worker's done check and its
+// claim, so the claim succeeds on a finished range. The hook forces that
+// interleaving; the worker must see the done marker, give the lease back
+// and skip the range rather than run it a second time.
+func TestClaimAfterPeerFinishedSkipsRange(t *testing.T) {
+	d := &Dir{Path: t.TempDir(), TTL: time.Minute}
+	rg := Range{ID: "A.0-2", Experiment: "A", Start: 0, End: 2}
+	man := Manifest{Config: "cafe", Chunk: 2, Ranges: []Range{rg}}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	executed := 0
+	w := &Worker{Dir: d, Manifest: man, ID: "w1",
+		Exec: func(context.Context, Range) error {
+			executed++
+			return nil
+		},
+		beforeClaim: func(r Range) {
+			// The peer's whole run of the range: claim, mark done, release.
+			if ok, err := d.Claim(r.ID, "peer"); err != nil || !ok {
+				t.Fatalf("peer claim: ok=%t err=%v", ok, err)
+			}
+			if err := d.MarkDone(r.ID, "peer"); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Release(r.ID); err != nil {
+				t.Fatal(err)
+			}
+		}}
+	n, err := w.Run(ctx)
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if n != 0 || executed != 0 {
+		t.Errorf("worker completed %d ranges and executed %d, want 0 and 0: the peer already finished the range", n, executed)
+	}
+	if _, held, err := d.Holder(rg.ID); err != nil || held {
+		t.Errorf("lease on the finished range left behind (held=%t, err=%v)", held, err)
+	}
+}
+
 // A stalled-heartbeat worker (chaos) keeps executing but never renews, so
 // the coordinator reclaims its lease out from under a live process; the
 // stalled worker's MarkDone is still safe because done markers are

@@ -34,7 +34,17 @@ type Worker struct {
 	// StallHeartbeat is chaos: claim ranges but never renew the lease, so
 	// the coordinator must reclaim them out from under a live process.
 	StallHeartbeat bool
+
+	// beforeClaim, when non-nil, runs between a range's done check and
+	// its claim. Tests use it to force a peer's MarkDone and Release into
+	// that window.
+	beforeClaim func(Range)
 }
+
+// doneCheck is how often an idle worker looks for done markers on the
+// ranges its peers hold, so it resumes as soon as the sweep can move on
+// instead of sleeping out a whole poll.
+const doneCheck = 20 * time.Millisecond
 
 func (w *Worker) poll() time.Duration {
 	if w.Poll > 0 {
@@ -49,11 +59,13 @@ func (w *Worker) poll() time.Duration {
 // is a wait, not an error.
 func (w *Worker) Run(ctx context.Context) (int, error) {
 	completed := 0
+	var held []string
 	for {
 		if err := ctx.Err(); err != nil {
 			return completed, err
 		}
-		allDone, claimedAny := true, false
+		held = held[:0]
+		claimedAny := false
 		for _, rg := range w.Manifest.Ranges {
 			if err := ctx.Err(); err != nil {
 				return completed, err
@@ -61,12 +73,24 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			if w.Dir.IsDone(rg.ID) {
 				continue
 			}
-			allDone = false
+			if w.beforeClaim != nil {
+				w.beforeClaim(rg)
+			}
 			ok, err := w.Dir.Claim(rg.ID, w.ID)
 			if err != nil {
 				return completed, err
 			}
 			if !ok {
+				held = append(held, rg.ID)
+				continue
+			}
+			// A peer may have run MarkDone and Release between the done
+			// check and the claim, freeing the lease of a finished range.
+			// The done marker is authoritative: give the lease back.
+			if w.Dir.IsDone(rg.ID) {
+				if err := w.Dir.Release(rg.ID); err != nil {
+					return completed, err
+				}
 				continue
 			}
 			claimedAny = true
@@ -80,17 +104,40 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			w.Events.Emit(runner.Event{Type: "range_done", Worker: w.ID, Range: rg.ID, Experiment: rg.Experiment,
 				Points: rg.End - rg.Start})
 		}
-		if allDone {
+		if len(held) == 0 {
+			// Every range is done: it was on the check, or this sweep
+			// finished or skipped it.
 			w.Events.Emit(runner.Event{Type: "worker_done", Worker: w.ID, Ranges: completed})
 			return completed, nil
 		}
 		if !claimedAny {
-			// Everything undone is leased to someone else; wait for either
-			// a done marker or a coordinator reclaim.
-			select {
-			case <-time.After(w.poll()):
-			case <-ctx.Done():
-				return completed, ctx.Err()
+			if err := w.idle(ctx, held); err != nil {
+				return completed, err
+			}
+		}
+	}
+}
+
+// idle waits while every undone range is leased to a peer. It returns
+// when one of those ranges gets its done marker, after one poll (a
+// coordinator may have reclaimed a dead peer's lease meanwhile), or with
+// ctx's error once ctx ends, so the wait never outlasts the context.
+func (w *Worker) idle(ctx context.Context, held []string) error {
+	wake := time.NewTimer(w.poll())
+	defer wake.Stop()
+	tick := time.NewTicker(min(doneCheck, w.poll()))
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-wake.C:
+			return nil
+		case <-tick.C:
+			for _, id := range held {
+				if w.Dir.IsDone(id) {
+					return nil
+				}
 			}
 		}
 	}
