@@ -213,9 +213,12 @@ func BenchmarkSimScatter64KWindowed(b *testing.B) {
 
 // BenchmarkSimScatter64KProbed is BenchmarkSimScatter64K with the
 // runner's metrics observer attached, so BENCH_sim.json tracks the
-// probes-ON overhead (per-run collector allocation plus one hook call
-// per queue event) next to the probes-off baseline, whose allocs/op must
-// stay at the no-probe number.
+// probes-ON overhead next to the probes-off baseline, whose allocs/op
+// must stay at the no-probe number. The observer is an aggregate probe,
+// so the run stays on the closed-form kernel, which computes the
+// per-bank counters itself: this measures the kernel's counter
+// accumulation and the observer's commit (a collector and the content
+// key), not the event engine.
 func BenchmarkSimScatter64KProbed(b *testing.B) {
 	m := core.J90()
 	pt := core.NewPattern(patterns.Uniform(1<<16, 1<<30, rng.New(2)), m.Procs)

@@ -34,6 +34,11 @@ import (
 //     additions happen in one canonical order no matter which workers
 //     finished first.
 //
+// The totals come from the engine's own sim.Counters, which the
+// closed-form kernel and the event engine compute bit-identically, so
+// observing a run does not move it off the kernel and the export does
+// not depend on which engine answered.
+//
 // Wall-clock observations (latency, utilization, cache hit/miss under
 // racing dedup, retries) are registered Volatile and appear only in
 // Snapshot(true).
@@ -47,14 +52,6 @@ type Observer struct {
 	// the point's regime. surrUnkeyed tallies unfingerprintable routes.
 	surr        map[string]float64
 	surrUnkeyed uint64
-
-	// collPool recycles per-run collectors: RunStart draws one and re-arms
-	// its retained arrival FIFOs in place, RunDone returns it after
-	// committing. A steady-state sweep therefore collects with ~0
-	// allocations per run (TestObserverProbedAllocBudget pins the probed
-	// end-to-end budget). Collectors abandoned by cancelled runs (RunDone
-	// never fires) are simply collected by the GC; the pool refills.
-	collPool sync.Pool
 
 	volMu       sync.Mutex
 	pointSecs   []float64
@@ -95,147 +92,24 @@ func NewObserver() *Observer {
 }
 
 // RunStart implements sim.Probe: it hands the engine a per-run collector
-// that accumulates locally (no locks on the hot path) and commits into
-// the observer at RunDone.
+// that commits the run's Counters into the observer at RunDone.
 func (o *Observer) RunStart(cfg sim.Config, pt core.Pattern) sim.RunProbe {
-	rc, _ := o.collPool.Get().(*runCollector)
-	if rc == nil {
-		rc = &runCollector{}
-	}
-	rc.arm(o, cfg, pt)
-	return rc
+	return &runCollector{o: o, cfg: cfg, pt: pt}
 }
 
-// runCollector gathers one simulation run's events. It reconstructs
-// per-request waiting time from the arrival/start hook pairs: each bank
-// keeps a FIFO of arrival times, popped as services start. Under
-// combining this pairing is approximate — extractAddr removes matching
-// requests from the middle of the bank queue, while the collector pops in
-// FIFO order — so combined-run wait totals are an estimate; everything
-// else is exact.
+// runCollector is one simulation run's commit handle. The engine that ran
+// the simulation computes its Counters; the collector only folds them
+// into a contribution and files it under the run's content key.
 type runCollector struct {
-	o     *Observer
-	cfg   sim.Config
-	pt    core.Pattern
-	banks int
-
-	bankArr  [][]float64 // per-bank FIFO of arrival times
-	bankHead []int
-	sectArr  [][]float64 // per-section FIFO of arrival times
-	sectHead []int
-
-	c contribution
+	o   *Observer
+	cfg sim.Config
+	pt  core.Pattern
 }
 
-// arm readies a (possibly recycled) collector for one run. The arrival
-// FIFOs are re-armed over their full new extent — lengths back to zero,
-// capacities kept — so a reused collector allocates only when a station's
-// arrival stream outgrows every previous run's (amortized, then never).
-func (rc *runCollector) arm(o *Observer, cfg sim.Config, pt core.Pattern) {
-	rc.o, rc.cfg, rc.pt = o, cfg, pt
-	rc.banks = cfg.Machine.Banks
-	rc.c = contribution{}
-	rc.bankArr, rc.bankHead = armFIFOs(rc.bankArr, rc.bankHead, cfg.Machine.Banks)
-	nSections := 0
-	if cfg.UseSections && cfg.Machine.Sections > 1 {
-		nSections = cfg.Machine.Sections
-	}
-	rc.sectArr, rc.sectHead = armFIFOs(rc.sectArr, rc.sectHead, nSections)
-}
-
-// armFIFOs resizes a retained set of per-station arrival FIFOs to n
-// stations, reusing the backing storage when it fits. A fresh build
-// carves every station's initial storage from one slab (the ring.go
-// pattern), so first-run allocation is O(1) in the station count; only a
-// station whose FIFO outgrows its carve reallocates, and it keeps the
-// bigger capacity for later runs.
-func armFIFOs(arr [][]float64, head []int, n int) ([][]float64, []int) {
-	if cap(arr) >= n && cap(head) >= n {
-		arr, head = arr[:n], head[:n]
-		for i := range arr {
-			arr[i] = arr[i][:0]
-			head[i] = 0
-		}
-		return arr, head
-	}
-	arr = make([][]float64, n)
-	head = make([]int, n)
-	const per = 8
-	slab := make([]float64, n*per)
-	for i := range arr {
-		arr[i] = slab[:0:per]
-		slab = slab[per:]
-	}
-	return arr, head
-}
-
-// bucket folds a bank index into a relative-position bucket.
-func (rc *runCollector) bucket(bank int) int {
-	if rc.banks <= 0 {
-		return 0
-	}
-	b := bank * posBuckets / rc.banks
-	if b >= posBuckets {
-		b = posBuckets - 1
-	}
-	return b
-}
-
-func (rc *runCollector) BankArrive(bank int, now float64, depth int) {
-	rc.bankArr[bank] = append(rc.bankArr[bank], now)
-	if p := rc.bucket(bank); float64(depth) > rc.c.posQueue[p] {
-		rc.c.posQueue[p] = float64(depth)
-	}
-}
-
-func (rc *runCollector) BankStart(bank int, now float64, service, stall float64, rowHit, queued bool, combined int) {
-	p := rc.bucket(bank)
-	rc.c.posLoad[p] += float64(1 + combined)
-	rc.c.posBusy[p] += service
-	if queued {
-		rc.c.queuedBank++
-	}
-	rc.c.combined += combined
-	for i := 0; i <= combined; i++ {
-		if rc.bankHead[bank] < len(rc.bankArr[bank]) {
-			if w := now - rc.bankArr[bank][rc.bankHead[bank]]; w > 0 {
-				rc.c.bankWait += w
-			}
-			rc.bankHead[bank]++
-		}
-	}
-}
-
-func (rc *runCollector) SectionArrive(sec int, now float64, depth int) {
-	// arm sized the FIFOs from the config; the loop is a defensive
-	// fallback for a section index the config did not predict.
-	for len(rc.sectArr) <= sec {
-		rc.sectArr = append(rc.sectArr, nil)
-		rc.sectHead = append(rc.sectHead, 0)
-	}
-	rc.sectArr[sec] = append(rc.sectArr[sec], now)
-}
-
-func (rc *runCollector) SectionStart(sec int, now float64, queued bool) {
-	if sec < len(rc.sectArr) && rc.sectHead[sec] < len(rc.sectArr[sec]) {
-		if w := now - rc.sectArr[sec][rc.sectHead[sec]]; w > 0 {
-			rc.c.sectWait += w
-		}
-		rc.sectHead[sec]++
-	}
-}
-
-func (rc *runCollector) WindowStall(proc int, from, to float64) {
-	if d := to - from; d > 0 {
-		rc.c.windowStall += d
-	}
-}
-
-// RunDone commits the run and recycles the collector. This is the only
-// collector method that touches shared state, and it only fires for
-// completed simulations.
-func (rc *runCollector) RunDone(res sim.Result) {
-	rc.c.res = res
+// RunDone commits the run. It only fires for completed simulations, and
+// it is the collector's only access to shared state.
+func (rc *runCollector) RunDone(res sim.Result, sc *sim.Counters) {
+	c := fold(res, sc)
 	key, ok := SimKey(rc.cfg, rc.pt)
 	o := rc.o
 	o.mu.Lock()
@@ -250,19 +124,36 @@ func (rc *runCollector) RunDone(res sim.Result) {
 		// A re-execution of a known simulation (cache disabled, or a
 		// post-fault retry) commits identical values: overwrite in place
 		// rather than allocating a fresh contribution.
-		*o.contribs[key] = rc.c
+		*o.contribs[key] = c
 	default:
-		c := rc.c // copy: rc is recycled below
-		o.contribs[key] = &c
+		fresh := c // declared here so only a first commit allocates
+		o.contribs[key] = &fresh
 	}
 	o.mu.Unlock()
+}
 
-	// The engine drops its RunProbe reference after RunDone; release the
-	// run's borrowed references and return the collector to the pool.
-	rc.o = nil
-	rc.cfg = sim.Config{}
-	rc.pt = core.Pattern{}
-	o.collPool.Put(rc)
+// fold reduces one run's engine Counters to a contribution. Banks fold
+// in index order into the run totals and the relative-position buckets,
+// so the float sums are a function of the per-bank values alone.
+func fold(res sim.Result, sc *sim.Counters) contribution {
+	c := contribution{
+		res:         res,
+		sectWait:    sc.SectionWait,
+		windowStall: sc.WindowStall,
+		combined:    sc.Combined,
+		queuedBank:  sc.QueuedStarts,
+	}
+	banks := len(sc.Services)
+	for b, n := range sc.Services {
+		p := b * posBuckets / banks
+		c.posLoad[p] += float64(n)
+		c.posBusy[p] += sc.Busy[b]
+		if d := float64(sc.MaxDepth[b]); d > c.posQueue[p] {
+			c.posQueue[p] = d
+		}
+		c.bankWait += sc.Wait[b]
+	}
+	return c
 }
 
 // ObserveSurrogate records one simulation request answered by the

@@ -2,7 +2,9 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"dxbsp/internal/core"
 	"dxbsp/internal/experiments"
 	"dxbsp/internal/metrics"
+	"dxbsp/internal/rng"
 	"dxbsp/internal/sim"
 )
 
@@ -138,25 +141,166 @@ func TestObserverDeterministicUnderTransientFaults(t *testing.T) {
 }
 
 // Failed attempts must contribute nothing: a run that never completes has
-// no RunDone, so an all-faulting simulation leaves the contribution map
-// empty even though bank/section hooks fired before the abort.
+// no RunDone, so a started-but-abandoned run leaves the contribution map
+// empty. The kernel cases cancel observed kernel-eligible runs inside
+// the kernel — mid lockstep walk for the open loop, mid replay for a
+// window that stalls at once — and must commit nothing either.
 func TestObserverIgnoresIncompleteRuns(t *testing.T) {
 	o := NewObserver()
 	cfg := sim.Config{Machine: core.J90()}.Normalize()
-	pt := core.NewPattern([]uint64{1, 2, 3, 4}, 4)
-	rp := o.RunStart(cfg, pt)
-	rp.BankArrive(0, 1, 0)
-	rp.BankStart(0, 1, 8, 0, false, false, 0)
+	o.RunStart(cfg, core.NewPattern([]uint64{1, 2, 3, 4}, 4))
 	// No RunDone: simulate a cancellation mid-run.
 	if o.Runs() != 0 {
 		t.Errorf("incomplete run committed a contribution")
 	}
+
+	m := core.Machine{Name: "w", Procs: 4, Banks: 16, D: 6, G: 1, L: 8}
+	addrs := make([]uint64, 1<<15)
+	for i := range addrs {
+		addrs[i] = uint64(i)
+	}
+	pt := core.NewPattern(addrs, m.Procs)
+	for _, tc := range []struct {
+		name, from string
+		cfg        sim.Config
+	}{
+		{"kernel-open-loop", "lane-requests", sim.Config{Machine: m}},
+		{"kernel-replay", "replay", sim.Config{Machine: m, Window: 1}},
+	} {
+		cfg := tc.cfg
+		cfg.Probe = o
+		if !sim.BatchEligible(cfg) {
+			t.Fatalf("%s: observed config is not kernel-eligible", tc.name)
+		}
+		// The kernel polls once on entry; the second poll, inside the
+		// loop, reports the cancellation.
+		_, err := sim.RunContext(&pollCtx{Context: context.Background(), n: 1}, cfg, pt)
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), tc.from) {
+			t.Fatalf("%s: error %v, want a cancellation from the kernel's %s poll", tc.name, err, tc.from)
+		}
+		if o.Runs() != 0 {
+			t.Errorf("%s: cancelled kernel run committed a contribution", tc.name)
+		}
+	}
+
 	if len(o.Snapshot(false)) == 0 {
 		t.Fatal("empty snapshot should still carry the series")
 	}
-	for _, s := range o.Snapshot(false) {
-		if s.Name == "dxbsp_sim_requests" && s.Value != 0 {
-			t.Errorf("incomplete run leaked %g requests", s.Value)
+	if got, want := omExport(t, o), omExport(t, NewObserver()); got != want {
+		t.Errorf("incomplete runs changed the export\n--- empty ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
+// pollCtx reports cancellation from its (n+1)-th Err poll on, so a test
+// can cancel a run at a chosen poll instead of racing a timer.
+type pollCtx struct {
+	context.Context
+	n int
+}
+
+func (c *pollCtx) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// goldenGrid mirrors the sim package's 128-config golden grid: eight
+// discipline/window variants (open- and closed-loop FIFO, eligible and
+// multi-row DRAM, windowed Regulated, GPU shared memory) × x ∈ {1,8} ×
+// d ∈ {2,6,14,30} × g ∈ {1,2}, over one 4096-address pattern.
+func goldenGrid() ([]sim.Config, core.Pattern) {
+	variants := []struct {
+		bank   sim.BankConfig
+		window int
+	}{
+		{sim.BankConfig{}, 0},
+		{sim.BankConfig{}, 4},
+		{sim.BankConfig{}, 1},
+		{sim.BankConfig{Discipline: sim.DRAM, HitDelay: 1, MissDelay: 8, RowWords: 32}, 0},
+		{sim.BankConfig{Discipline: sim.DRAM, HitDelay: 2, MissDelay: 12, RowWords: 16}, 6},
+		{sim.BankConfig{Discipline: sim.DRAM, CacheLines: 2, HitDelay: 1, MissDelay: 8, RowWords: 32}, 0},
+		{sim.BankConfig{Discipline: sim.Regulated, RegWindow: 16, RegBudget: 2}, 3},
+		{sim.BankConfig{Discipline: sim.GPUShared, WarpSize: 8}, 0},
+	}
+	var cfgs []sim.Config
+	for _, v := range variants {
+		for _, x := range []int{1, 8} {
+			for _, d := range []float64{2, 6, 14, 30} {
+				for _, g := range []float64{1, 2} {
+					cfgs = append(cfgs, sim.Config{
+						Machine: core.Machine{Name: "golden", Procs: 8, Banks: 8 * x, D: d, G: g, L: 4},
+						Bank:    v.bank,
+						Window:  v.window,
+					})
+				}
+			}
+		}
+	}
+	rg := rng.New(99)
+	addrs := make([]uint64, 4096)
+	for i := range addrs {
+		addrs[i] = rg.Uint64n(1 << 30)
+	}
+	return cfgs, core.NewPattern(addrs, 8)
+}
+
+// The Observer's export is a function of the engines' own Counters,
+// which the kernel and the event engine compute bit-identically. Over
+// the 128-config golden grid and the quick suite, the deterministic
+// export and the bank profile must be byte-identical whether the event
+// engine answers every simulation or sim.RunContext sends the eligible
+// ones to the kernel.
+func TestObserverExportKernelMatchesEvent(t *testing.T) {
+	ctx := context.Background()
+	ev, disp := NewObserver(), NewObserver()
+	cfgs, pt := goldenGrid()
+	if len(cfgs) != 128 {
+		t.Fatalf("golden grid has %d configs, want 128", len(cfgs))
+	}
+	eligible := 0
+	for _, cfg := range cfgs {
+		cfg.Probe = ev
+		if _, err := (eventEngine{}).RunSim(ctx, cfg, pt); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Probe = disp
+		if sim.BatchEligible(cfg) {
+			eligible++
+		}
+		if _, err := sim.RunContext(ctx, cfg, pt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if eligible < 96 {
+		t.Fatalf("only %d of 128 observed golden configs are kernel-eligible", eligible)
+	}
+
+	qc := experiments.QuickConfig()
+	evCfg := qc
+	evCfg.Sim = eventEngine{}
+	rEv := &Runner{Parallel: 2, Metrics: ev}
+	rDisp := &Runner{Parallel: 2, Metrics: disp}
+	for _, e := range experiments.All() {
+		if _, err := rEv.RunExperiment(ctx, e, evCfg); err != nil {
+			t.Fatalf("%s on the event engine: %v", e.ID, err)
+		}
+		if _, err := rDisp.RunExperiment(ctx, e, qc); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+
+	if got, want := omExport(t, disp), omExport(t, ev); got != want {
+		t.Errorf("export differs\n--- event engine ---\n%s\n--- RunContext ---\n%s", want, got)
+	}
+	_, wantRows := ev.BankProfile()
+	_, gotRows := disp.BankProfile()
+	for r := range wantRows {
+		for i := range wantRows[r] {
+			if math.Float64bits(gotRows[r][i]) != math.Float64bits(wantRows[r][i]) {
+				t.Errorf("bank profile row %d bucket %d: RunContext %v, event engine %v", r, i, gotRows[r][i], wantRows[r][i])
+			}
 		}
 	}
 }

@@ -102,7 +102,10 @@ func TestProbesOffAllocBudget(t *testing.T) {
 // TestRunKernelZeroAllocs pins RunContext's kernel path: a warm K=1 run
 // of each kernel-eligible regime on the pooled BatchEngine allocates
 // nothing: every arena is retained and the one-lane config slice stays
-// on the stack.
+// on the stack. The observed cases attach an aggregate probe that reads
+// every committed counter, as the runner's Observer does: the run stays
+// on the kernel, and the counter arenas and the commit allocate nothing
+// either.
 func TestRunKernelZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement under -short")
@@ -121,16 +124,28 @@ func TestRunKernelZeroAllocs(t *testing.T) {
 		{"dram", Config{Machine: m, Bank: BankConfig{Discipline: DRAM}}},
 		{"regulated", Config{Machine: m, Bank: BankConfig{Discipline: Regulated}, Window: 4}},
 	} {
-		if !BatchEligible(tc.cfg) {
-			t.Fatalf("%s: not kernel-eligible", tc.name)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := Run(tc.cfg, pt); err != nil {
-				t.Fatal(err)
+		for _, observed := range []bool{false, true} {
+			cfg := tc.cfg
+			probe := &sumProbe{}
+			name := tc.name
+			if observed {
+				cfg.Probe = probe
+				name += "/observed"
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs per warm kernel run, want 0", tc.name, allocs)
+			if !BatchEligible(cfg) {
+				t.Fatalf("%s: not kernel-eligible", name)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := Run(cfg, pt); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %.1f allocs per warm kernel run, want 0", name, allocs)
+			}
+			if observed && (probe.commits != 11 || probe.services != 11*pt.N()) {
+				t.Errorf("%s: probe saw %d commits and %d services, want 11 and %d", name, probe.commits, probe.services, 11*pt.N())
+			}
 		}
 	}
 }

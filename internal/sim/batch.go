@@ -33,7 +33,7 @@ import (
 // window-blocked; at the first stall the lane alone detaches into a
 // per-lane replay of the scalar engine's remaining events (runReplay) —
 // it never falls back to the pooled scalar engine. Structurally
-// ineligible lanes (combining, sections, probes, GPUShared, HS93 row
+// ineligible lanes (combining, sections, EventProbes, GPUShared, HS93 row
 // caches, grouped or multi-row DRAM) run sequentially on one retained
 // scalar engine inside the batch — still one call, still
 // byte-identical, just without the lockstep speedup.
@@ -154,6 +154,23 @@ type BatchEngine struct {
 	laneIdx  []int32 // fast lanes in order, rebuilt per Reset
 	allPlain bool    // every fast lane is open-loop FIFO
 
+	// Probe accounting (fast lanes only). rps[lane] is the lane's
+	// RunProbe and probed[lane] gates every counter update, so an
+	// unobserved lane runs the same loops at the cost of one predictable
+	// branch per queued arrival. The per-(lane,bank) counter arenas are
+	// indexed like lastFin and armed only when some lane is probed; a
+	// FIFO lane's per-bank busy time is rebuilt at commit from serve
+	// (see commit). cQueued and cStall are per lane. cnt is the commit
+	// view handed to RunDone.
+	rps     []RunProbe
+	probed  []bool
+	cBusy   []float64
+	cWait   []float64
+	cDepth  []int32
+	cQueued []int32
+	cStall  []float64
+	cnt     Counters
+
 	beSorter busyEvSorter
 
 	// Per-lane boxed-default-BankMap caches, mirroring Engine.def:
@@ -257,7 +274,8 @@ func bankOf(kind mapKind, arg uint64, bm core.BankMap, addr uint64) int {
 // BatchEligible reports whether cfg takes the lockstep fast path inside
 // a BatchEngine: open- or closed-loop FIFO, Regulated, or ungrouped
 // single-row DRAM, with no combining, no section bottleneck and no
-// probe. Ineligible configs still run correctly in a batch (on the
+// EventProbe (the kernel computes an aggregate Probe's Counters
+// itself). Ineligible configs still run correctly in a batch (on the
 // embedded scalar engine), they just don't share the lockstep pass.
 // RunContext uses it to pick the kernel over the event engine.
 // Equivalent to BatchFallbackReason(cfg) == "".
@@ -274,7 +292,7 @@ func BatchFallbackReason(cfg Config) string {
 	if cfg.Combining {
 		return "combining"
 	}
-	if cfg.Probe != nil {
+	if _, ok := cfg.Probe.(EventProbe); ok {
 		return "probe"
 	}
 	if cfg.UseSections && cfg.Machine.Sections > 1 {
@@ -329,6 +347,9 @@ func (b *BatchEngine) release() {
 	}
 	for i := range b.bms {
 		b.bms[i] = nil
+	}
+	for i := range b.rps {
+		b.rps[i] = nil
 	}
 	b.scalar.eng.release()
 }
@@ -399,7 +420,20 @@ func (b *BatchEngine) run(ctx context.Context, cfgs []Config, pt core.Pattern) (
 		}
 		b.results[i] = res
 	}
-	return -1, b.runFast(ctx, pt)
+	for _, li := range b.laneIdx {
+		if b.probed[li] {
+			b.rps[li] = b.cfgs[li].Probe.RunStart(b.cfgs[li], pt)
+		}
+	}
+	if err := b.runFast(ctx, pt); err != nil {
+		return -1, err
+	}
+	for _, li := range b.laneIdx {
+		if b.probed[li] {
+			b.commit(li)
+		}
+	}
+	return -1, nil
 }
 
 // reset validates every lane and re-arms the SoA state, reusing retained
@@ -436,11 +470,16 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) (int, error) {
 	b.vOff = growSlice(b.vOff, k)
 	b.wOff = growSlice(b.wOff, k)
 	b.active = growSlice(b.active, k)
-	b.comp = growNested(b.comp, k)
-	b.busyEvs = growNested(b.busyEvs, k)
+	b.comp = growRetained(b.comp, k)
+	b.busyEvs = growRetained(b.busyEvs, k)
 	b.results = growSlice(b.results, k)
 	b.laneIdx = b.laneIdx[:0]
 	b.defs = growSlice(b.defs, k)
+	b.rps = growSlice(b.rps, k)
+	b.probed = growSlice(b.probed, k)
+	b.cQueued = growSlice(b.cQueued, k)
+	b.cStall = growSlice(b.cStall, k)
+	anyProbed := false
 
 	// nonEmpty replays the scalar reset's initial injection scheduling:
 	// one evInject seq per processor with a non-empty stream, assigned
@@ -462,6 +501,11 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) (int, error) {
 		b.cfgs[i] = cfg
 		b.fast[i] = BatchEligible(cfg)
 		b.results[i] = Result{}
+		b.rps[i] = nil
+		b.probed[i] = b.fast[i] && cfg.Probe != nil
+		b.cQueued[i] = 0
+		b.cStall[i] = 0
+		anyProbed = anyProbed || b.probed[i]
 		if !b.fast[i] {
 			continue
 		}
@@ -528,13 +572,21 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) (int, error) {
 		b.qn[i] = 0
 		b.serve[i] = 0
 	}
+	if anyProbed {
+		b.cBusy = growSlice(b.cBusy, total)
+		b.cWait = growSlice(b.cWait, total)
+		b.cDepth = growSlice(b.cDepth, total)
+		clear(b.cBusy)
+		clear(b.cWait)
+		clear(b.cDepth)
+	}
 
 	b.rowTag = growSlice(b.rowTag, vTotal)
 	b.rowHas = growSlice(b.rowHas, vTotal)
 	b.regEpoch = growSlice(b.regEpoch, vTotal)
 	b.regUsed = growSlice(b.regUsed, vTotal)
 	b.lastSeq = growSlice(b.lastSeq, vTotal)
-	b.ringBuf = growNested(b.ringBuf, vTotal)
+	b.ringBuf = growRetained(b.ringBuf, vTotal)
 	b.ringHead = growSlice(b.ringHead, vTotal)
 	b.ringN = growSlice(b.ringN, vTotal)
 	for i := 0; i < vTotal; i++ {
@@ -574,7 +626,7 @@ func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) (int, error) {
 	b.rNIA = growSlice(b.rNIA, np)
 	b.rCandT = growSlice(b.rCandT, np)
 	b.rCandA = growSlice(b.rCandA, np)
-	b.rComp = growNested(b.rComp, np)
+	b.rComp = growRetained(b.rComp, np)
 	return -1, nil
 }
 
@@ -587,13 +639,14 @@ func growSlice[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// growNested resizes an outer slice of retained inner slices, carrying
-// the grown inner buffers over so warm batches never re-allocate them.
-func growNested[T any](s [][]T, n int) [][]T {
+// growRetained resizes a slice whose elements own retained storage
+// (inner slices, rings), carrying the elements over when it grows so
+// warm runs never re-allocate their buffers.
+func growRetained[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	ns := make([][]T, n)
+	ns := make([]T, n)
 	copy(ns, s[:cap(s)])
 	return ns
 }
@@ -720,6 +773,9 @@ func (b *BatchEngine) runPlain(ctx context.Context, pt core.Pattern, maxLen int)
 					if n > b.maxQ[li] {
 						b.maxQ[li] = n
 					}
+					if b.probed[li] {
+						b.countQueued(li, idx, f-a, n-1)
+					}
 					done = f + dl
 				} else {
 					b.qn[idx] = 0
@@ -796,6 +852,9 @@ func (b *BatchEngine) runMixed(ctx context.Context, pt core.Pattern, maxLen int)
 						b.qn[idx] = n
 						if n > b.maxQ[li] {
 							b.maxQ[li] = n
+						}
+						if b.probed[li] {
+							b.countQueued(li, idx, f-a, n-1)
 						}
 						done = f + dl
 					} else {
@@ -902,6 +961,9 @@ func (b *BatchEngine) serveLane(li int32, bank int, a float64, addr uint64, reqS
 			if n > b.maxQ[li] {
 				b.maxQ[li] = n
 			}
+			if b.probed[li] {
+				b.countQueued(li, idx, f-a, n-1)
+			}
 			done = f + dl
 		} else {
 			b.qn[idx] = 0
@@ -953,6 +1015,9 @@ func (b *BatchEngine) serveLane(li int32, bank int, a float64, addr uint64, reqS
 		if int32(n) > b.maxQ[li] {
 			b.maxQ[li] = int32(n)
 		}
+		if b.probed[li] {
+			b.countQueued(li, idx, 0, int32(n-1))
+		}
 		start = f
 		key = 3<<32 | uint64(uint32(b.lastSeq[vi]))
 	} else {
@@ -960,6 +1025,14 @@ func (b *BatchEngine) serveLane(li int32, bank int, a float64, addr uint64, reqS
 		b.ringN[vi] = 0
 		start = a
 		key = 2<<32 | uint64(uint32(reqSeq))
+		if late {
+			// A late arrival is pushed while the completions at its
+			// instant are processed, after every same-time arrival and
+			// bank-done has popped, so its start sorts after all of
+			// them; among themselves late starts follow their seqs,
+			// which the unblocks assign in processing order.
+			key = 5<<32 | uint64(uint32(reqSeq))
+		}
 	}
 
 	var service float64
@@ -997,11 +1070,29 @@ func (b *BatchEngine) serveLane(li int32, bank int, a float64, addr uint64, reqS
 		service = b.d[li]
 		b.busyAcc[li] += service
 	}
+	if b.probed[li] {
+		// Regulation may defer the start past the predecessor's finish,
+		// so the wait is taken from the final start: start − a, which
+		// is zero for an undeferred start on an idle bank.
+		b.cBusy[idx] += service
+		b.cWait[idx] += start - a
+	}
 	done := start + service
 	b.lastFin[idx] = done
 	b.lastSeq[vi] = reqSeq
 	b.serve[idx]++
 	return done
+}
+
+// countQueued records, for probed lane li, an arrival at bank arena
+// index idx that found the bank busy: it waits wait cycles (0 when the
+// caller adds the wait itself) behind a line of depth requests.
+func (b *BatchEngine) countQueued(li int32, idx int, wait float64, depth int32) {
+	b.cQueued[li]++
+	b.cWait[idx] += wait
+	if depth > b.cDepth[idx] {
+		b.cDepth[idx] = depth
+	}
 }
 
 // drainComp pops lane li's pending completions strictly earlier than t,
@@ -1313,6 +1404,12 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 			// the window just opened and only q's own injects refill it —
 			// so drain below its time and expose it directly.
 			ct := bt
+			if b.probed[li] {
+				// q has been blocked since its attempt at nia[q]; the
+				// unblocks pop in the scalar engine's order, so the sum
+				// replays its accumulation exactly.
+				b.cStall[li] += ct - nia[q]
+			}
 			h := popPC(b.rComp[q])
 			t2 := ct
 			if nia[q] > t2 {
@@ -1388,4 +1485,35 @@ func (b *BatchEngine) finalize(pt core.Pattern) {
 			}
 		}
 	}
+}
+
+// commit hands probed lane li's Result and Counters to its RunProbe.
+// Busy time per bank is rebuilt here for the constant-service FIFO
+// class: a bank that served n requests accumulated d exactly n times in
+// the event engine, so repeating the additions replays its sum without
+// touching the hot loop. The variable-service classes accumulated it in
+// serveLane.
+func (b *BatchEngine) commit(li int32) {
+	lo := int(b.off[li])
+	hi := lo + b.cfgs[li].Machine.Banks
+	if b.cls[li] == lcFIFO {
+		d := b.d[li]
+		for i, n := range b.serve[lo:hi] {
+			busy := 0.0
+			for ; n > 0; n-- {
+				busy += d
+			}
+			b.cBusy[lo+i] = busy
+		}
+	}
+	b.cnt = Counters{
+		Services:     b.serve[lo:hi],
+		Busy:         b.cBusy[lo:hi],
+		Wait:         b.cWait[lo:hi],
+		MaxDepth:     b.cDepth[lo:hi],
+		QueuedStarts: int(b.cQueued[li]),
+		WindowStall:  b.cStall[li],
+	}
+	b.rps[li].RunDone(b.results[li], &b.cnt)
+	b.rps[li] = nil
 }

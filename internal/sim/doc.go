@@ -56,6 +56,16 @@
 // byte-identical results either way. Both execute on pooled engines, so
 // steady-state runs allocate nothing.
 //
+// # Observation
+//
+// Config.Probe receives each completed run's Result and aggregate
+// Counters (per-bank services, busy time, queueing delay and deepest
+// line, plus queued starts, section wait and window stalls). Both the
+// kernel and the event engine compute the Counters, bit-identically, so
+// an observed run stays on the engine that answers it unobserved. Only
+// an EventProbe, which asks for every individual bank, section and
+// window event, runs on the event engine.
+//
 // Callers that manage their own reuse — a benchmark harness, a worker pool
 // with per-worker engines — can hold an event Engine directly: NewEngine
 // for an unpooled instance, or AcquireEngine/ReleaseEngine to borrow from

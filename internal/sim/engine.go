@@ -113,6 +113,7 @@ func (e *engine) release() {
 		e.procs[i].addrs = nil
 	}
 	e.rp = nil
+	e.ev = nil
 	e.bm = nil
 	e.cfg = Config{}
 }
@@ -129,8 +130,11 @@ func (e *engine) reset(cfg Config, pt core.Pattern) {
 	e.seq = 0
 	e.lastDone = 0
 	e.res = Result{}
-	e.rp = nil
-	if cfg.Probe != nil {
+	e.rp, e.ev = nil, nil
+	if ep, ok := cfg.Probe.(EventProbe); ok {
+		e.ev = ep.RunEvents(cfg, pt)
+		e.rp = e.ev
+	} else if cfg.Probe != nil {
 		e.rp = cfg.Probe.RunStart(cfg, pt)
 	}
 
@@ -245,7 +249,10 @@ func (e *engine) reset(cfg Config, pt core.Pattern) {
 			e.bankServe[i] = 0
 		}
 	} else {
-		e.bankServe = make([]int, cfg.Machine.Banks)
+		e.bankServe = make([]int32, cfg.Machine.Banks)
+	}
+	if e.rp != nil {
+		e.armCounters(cfg.Machine.Banks, nSections)
 	}
 
 	if e.useHeap {
@@ -273,4 +280,25 @@ func (e *engine) reset(cfg Config, pt core.Pattern) {
 		}
 	}
 	e.res.Requests = total
+}
+
+// armCounters re-arms the Counters accumulator and the arrival FIFOs of
+// a probed run over banks banks and nSections sections, reusing every
+// retained slice and FIFO ring. MaxDepth is written whole at commit.
+func (e *engine) armCounters(banks, nSections int) {
+	c := &e.cnt
+	c.Busy = growSlice(c.Busy, banks)
+	c.Wait = growSlice(c.Wait, banks)
+	c.MaxDepth = growSlice(c.MaxDepth, banks)
+	clear(c.Busy)
+	clear(c.Wait)
+	c.QueuedStarts, c.Combined, c.SectionWait, c.WindowStall = 0, 0, 0, 0
+	e.bankArr = growRetained(e.bankArr, banks)
+	e.sectArr = growRetained(e.sectArr, nSections)
+	for i := range e.bankArr {
+		e.bankArr[i].head, e.bankArr[i].n = 0, 0
+	}
+	for i := range e.sectArr {
+		e.sectArr[i].head, e.sectArr[i].n = 0, 0
+	}
 }

@@ -10,14 +10,16 @@ import (
 )
 
 // countingProbe is a test double that records every hook invocation. It
-// deliberately exercises every RunProbe method so the differential test
-// below proves the full hook surface is results-neutral, not just the
-// cheap-to-pass subset.
+// is an EventProbe and deliberately exercises every RunEvents method so
+// the differential test below proves the full hook surface is
+// results-neutral, not just the cheap-to-pass subset.
 type countingProbe struct {
 	runs []*countingRunProbe
 }
 
-func (p *countingProbe) RunStart(cfg Config, pt core.Pattern) RunProbe {
+func (p *countingProbe) RunStart(cfg Config, pt core.Pattern) RunProbe { return p.RunEvents(cfg, pt) }
+
+func (p *countingProbe) RunEvents(cfg Config, pt core.Pattern) RunEvents {
 	rp := &countingRunProbe{
 		bankArrivals: make(map[int]int),
 		bankStarts:   make(map[int]int),
@@ -41,6 +43,7 @@ type countingRunProbe struct {
 	maxBankDepth  int
 	done          bool
 	res           Result
+	counters      Counters
 }
 
 func (rp *countingRunProbe) BankArrive(bank int, now float64, depth int) {
@@ -72,9 +75,10 @@ func (rp *countingRunProbe) WindowStall(proc int, from, to float64) {
 	rp.windowStallCy += to - from
 }
 
-func (rp *countingRunProbe) RunDone(res Result) {
+func (rp *countingRunProbe) RunDone(res Result, c *Counters) {
 	rp.done = true
 	rp.res = res
+	rp.counters = cloneCounters(c)
 }
 
 // sweepConfigs enumerates the 128-configuration sweep: every combination
@@ -205,6 +209,42 @@ func TestProbeDoesNotPerturbResults(t *testing.T) {
 			}
 			if rp.windowStallCy < 0 {
 				t.Errorf("negative window stall time %g", rp.windowStallCy)
+			}
+
+			// The committed Counters agree with the hooks. Every time in
+			// this sweep is a multiple of 0.5, so the per-bank busy sums
+			// add up to Result.BankBusy exactly.
+			c := rp.counters
+			if got := sumInt32(c.Services); got != probed.Requests {
+				t.Errorf("Counters.Services total %d, Result.Requests = %d", got, probed.Requests)
+			}
+			if got := sumFloat(c.Busy); got != probed.BankBusy {
+				t.Errorf("Counters.Busy total %g, Result.BankBusy = %g", got, probed.BankBusy)
+			}
+			if c.QueuedStarts != rp.queuedBank || c.Combined != rp.combined {
+				t.Errorf("Counters queued/combined %d/%d, hooks %d/%d", c.QueuedStarts, c.Combined, rp.queuedBank, rp.combined)
+			}
+			if got := maxInt32(c.MaxDepth); int(got) != rp.maxBankDepth {
+				t.Errorf("Counters.MaxDepth peak %d, hooks saw %d", got, rp.maxBankDepth)
+			}
+			if c.WindowStall != rp.windowStallCy {
+				t.Errorf("Counters.WindowStall %g, hooks %g", c.WindowStall, rp.windowStallCy)
+			}
+
+			// An aggregate probe leaves the run on whichever engine
+			// answers it unobserved, and that engine commits the same
+			// Result and Counters the event engine reported.
+			agg := &recordProbe{}
+			cfg.Probe = agg
+			aggRes, err := Run(cfg, pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if aggRes != plain || len(agg.runs) != 1 || agg.runs[0].res != plain {
+				t.Fatalf("aggregate probe: result %+v, %d commits, want %+v once", aggRes, len(agg.runs), plain)
+			}
+			if err := diffCounters(agg.runs[0].c, c); err != nil {
+				t.Errorf("aggregate probe (kernel-eligible %t) vs event hooks: %v", BatchEligible(cfg), err)
 			}
 		})
 	}

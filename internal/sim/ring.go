@@ -87,3 +87,34 @@ func (s *server) grow(need int) {
 	s.buf = buf
 	s.head = 0
 }
+
+// timeFIFO is a growable ring of arrival times. The event engine keeps
+// one per bank and per section while a probe is attached, pairing each
+// service start with the oldest recorded arrival.
+type timeFIFO struct {
+	buf     []float64 // len is zero or a power of two
+	head, n int
+}
+
+func (q *timeFIFO) push(t float64) {
+	if q.n == len(q.buf) {
+		grown := make([]float64, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
+	q.n++
+}
+
+// pop removes and returns the oldest time; ok is false when empty.
+func (q *timeFIFO) pop() (t float64, ok bool) {
+	if q.n == 0 {
+		return 0, false
+	}
+	t = q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return t, true
+}

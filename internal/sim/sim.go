@@ -61,11 +61,12 @@ type Config struct {
 	// express representable; see BankCacheLines.
 	BankRowShift uint
 
-	// Probe, when non-nil, receives per-event observations of the run
-	// (see Probe). It is results-neutral by contract — attaching a probe
-	// never changes Result — and it is deliberately excluded from the
-	// runner's cache identity, which fingerprints the behavioral knobs
-	// field by field.
+	// Probe, when non-nil, receives the run's Result and aggregate
+	// Counters when it completes (see Probe). It is results-neutral by
+	// contract — attaching a probe never changes Result or the engine
+	// that computes it, unless it is an EventProbe — and it is
+	// deliberately excluded from the runner's cache identity, which
+	// fingerprints the behavioral knobs field by field.
 	Probe Probe
 }
 
@@ -274,13 +275,23 @@ type engine struct {
 	banksPerSection int
 	combineScratch  []request // reused by startBank's combining pass
 
-	// rp is the per-run probe, nil for the (default) unobserved run.
-	// Every hook site is nil-checked, so probes-off costs one predictable
-	// branch per site and the steady state stays allocation-free.
+	// rp is the per-run probe, nil for the (default) unobserved run; ev
+	// is the same run's per-event hooks, set only for an EventProbe.
+	// Every hook and accumulation site is nil-checked, so probes-off
+	// costs one predictable branch per site and the steady state stays
+	// allocation-free.
 	rp RunProbe
+	ev RunEvents
+
+	// cnt accumulates the Counters committed to rp. Its per-bank slices
+	// and the arrival FIFOs that pair each service start with its
+	// arrival are retained across resets and armed only for probed runs.
+	cnt     Counters
+	bankArr []timeFIFO
+	sectArr []timeFIFO
 
 	res       Result
-	bankServe []int
+	bankServe []int32
 	// rowsOn gates the row-buffer paths (FIFO+CacheLines and DRAM);
 	// bankRows storage is retained across resets even when a run has row
 	// buffers off, so alternating configurations on a reused engine do
@@ -388,7 +399,7 @@ func ReleaseEngine(e *Engine) {
 // RunContext is Run with cooperative cancellation. It answers every
 // BatchEligible config on the closed-form kernel (a pooled BatchEngine at
 // K=1) and every other config — GPU shared memory, bank groups,
-// multi-row DRAM, row caches, combining, sections, probes — on a pooled
+// multi-row DRAM, row caches, combining, sections, EventProbes — on a pooled
 // event Engine. Both give byte-identical Results (the golden grid and
 // FuzzBatchVsScalar pin it), so the dispatch is invisible to callers.
 //
@@ -428,8 +439,8 @@ func (e *engine) simulate(ctx context.Context) (Result, error) {
 
 	e.res.Cycles = e.lastDone
 	for i, c := range e.bankServe {
-		if c > e.res.MaxBankServed {
-			e.res.MaxBankServed = c
+		if int(c) > e.res.MaxBankServed {
+			e.res.MaxBankServed = int(c)
 		}
 		if e.banks[i].maxQ > e.res.MaxBankQueue {
 			e.res.MaxBankQueue = e.banks[i].maxQ
@@ -441,7 +452,14 @@ func (e *engine) simulate(ctx context.Context) (Result, error) {
 		}
 	}
 	if e.rp != nil {
-		e.rp.RunDone(e.res)
+		// An arrival sees depth qlen and then joins the line, so the
+		// deepest line an arrival saw is one less than the high-water
+		// mark (an idle bank's arrivals all see 0).
+		for i := range e.banks {
+			e.cnt.MaxDepth[i] = int32(max(e.banks[i].maxQ-1, 0))
+		}
+		e.cnt.Services = e.bankServe
+		e.rp.RunDone(e.res, &e.cnt)
 	}
 	return e.res, nil
 }
@@ -530,7 +548,10 @@ func (e *engine) injectWarp(p int, now float64) {
 func (e *engine) arriveSection(sec int, req request, now float64) {
 	s := &e.sections[sec]
 	if e.rp != nil {
-		e.rp.SectionArrive(sec, now, s.qlen())
+		e.sectArr[sec].push(now)
+		if e.ev != nil {
+			e.ev.SectionArrive(sec, now, s.qlen())
+		}
 	}
 	if s.busy {
 		s.enqueue(req)
@@ -543,7 +564,12 @@ func (e *engine) startSection(sec int, req request, now float64, queued bool) {
 	s := &e.sections[sec]
 	s.busy = true
 	if e.rp != nil {
-		e.rp.SectionStart(sec, now, queued)
+		if a, ok := e.sectArr[sec].pop(); ok && now > a {
+			e.cnt.SectionWait += now - a
+		}
+		if e.ev != nil {
+			e.ev.SectionStart(sec, now, queued)
+		}
 	}
 	done := now + e.cfg.Machine.SectionGap
 	e.sched(event{time: done, seq: req.seq, kind: evSectionDone, idx: int32(sec),
@@ -565,7 +591,10 @@ func (e *engine) sectionDone(sec int, req request, now float64) {
 func (e *engine) bankArrive(req request, now float64) {
 	b := &e.banks[req.bank]
 	if e.rp != nil {
-		e.rp.BankArrive(req.bank, now, b.qlen())
+		e.bankArr[req.bank].push(now)
+		if e.ev != nil {
+			e.ev.BankArrive(req.bank, now, b.qlen())
+		}
 	}
 	if b.busy {
 		b.enqueue(req)
@@ -649,9 +678,30 @@ func (e *engine) startBank(bank int, req request, now float64, queued bool) {
 		}
 	}
 	if e.rp != nil {
-		e.rp.BankStart(bank, start, service, start-now, rowHit, queued, combined)
+		e.countStart(bank, start, service, queued, combined)
+		if e.ev != nil {
+			e.ev.BankStart(bank, start, service, start-now, rowHit, queued, combined)
+		}
 	}
 	e.sched(event{time: done, seq: req.seq, kind: evBankDone, idx: int32(bank)})
+}
+
+// countStart adds one service start to the run's Counters. Each of the
+// 1+combined requests it satisfies leaves the bank's arrival FIFO in
+// arrival order; without combining that is exactly the request served,
+// since the bank serves first come, first served.
+func (e *engine) countStart(bank int, start, service float64, queued bool, combined int) {
+	c := &e.cnt
+	c.Busy[bank] += service
+	if queued {
+		c.QueuedStarts++
+	}
+	c.Combined += combined
+	for i := 0; i <= combined; i++ {
+		if a, ok := e.bankArr[bank].pop(); ok && start > a {
+			c.Wait[bank] += start - a
+		}
+	}
 }
 
 // respond delivers the response for a request whose bank service finishes
@@ -727,7 +777,12 @@ func (e *engine) complete(p int, now float64) {
 	if ps.blocked {
 		ps.blocked = false
 		if e.rp != nil {
-			e.rp.WindowStall(p, ps.blockedAt, now)
+			if now > ps.blockedAt {
+				e.cnt.WindowStall += now - ps.blockedAt
+			}
+			if e.ev != nil {
+				e.ev.WindowStall(p, ps.blockedAt, now)
+			}
 		}
 		t := now
 		if ps.nextIssueAt > t {
