@@ -496,22 +496,39 @@ func benchSweepExpansion(b *testing.B, ways int) {
 func BenchmarkSweepExpansion1Way(b *testing.B) { benchSweepExpansion(b, 1) }
 func BenchmarkSweepExpansion4Way(b *testing.B) { benchSweepExpansion(b, 4) }
 
-// --- Batched lockstep engine ----------------------------------------------
+// --- Closed-form kernel over an expansion grid --------------------------
 
-// BenchmarkBatchExpansion is the headline number for the batch engine: the
-// F6-shaped expansion grid (x × d, all FIFO, so every lane takes the
-// lockstep fast path) run as one 16-lane batch per iteration on a held
-// engine. The timed region is batch passes only; the event engine runs
-// the same configs once untimed to report the speedup. Two custom metrics:
-// points/sec (batched simulation points per wall-clock second, single
-// goroutine — "per core") and xscalar (event-engine time per point /
-// batch time per point). CI gates xscalar >= 3.
+// BenchmarkBatchExpansion is the headline number for the closed-form
+// kernel: the F6-shaped expansion grid (x × d, all FIFO, so every config
+// is kernel-eligible), 16 configs run one by one through sim.RunContext
+// per iteration. The event engine runs the same configs once untimed to
+// report the speedup. Two custom metrics: points/sec (simulation points
+// per wall-clock second, single goroutine — "per core") and xscalar
+// (event-engine time per point / kernel time per point). CI gates
+// xscalar >= 3.
 func BenchmarkBatchExpansion(b *testing.B) {
+	benchExpansionGrid(b, 0)
+}
+
+// BenchmarkBatchExpansionWindowed is the same 16-config expansion grid
+// closed-loop (Window 8, the F2/F3-style x-sweep shape), so every run
+// follows the injection grid until its window fills and then finishes in
+// the kernel's replay. Metrics as above; CI gates xscalar >= 2 (the
+// replay does more work per request than the open-loop walk, so its
+// margin over the event engine is smaller).
+func BenchmarkBatchExpansionWindowed(b *testing.B) {
+	benchExpansionGrid(b, 8)
+}
+
+// benchExpansionGrid times the 16-config expansion grid at the given
+// Window through sim.RunContext and reports points/sec and xscalar.
+func benchExpansionGrid(b *testing.B, window int) {
 	var cfgs []sim.Config
 	for _, x := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
 		for _, d := range []float64{6, 14} {
 			cfgs = append(cfgs, sim.Config{
 				Machine: core.Machine{Name: "bench", Procs: 8, Banks: 8 * x, D: d, G: 1, L: 4},
+				Window:  window,
 			})
 		}
 	}
@@ -523,28 +540,29 @@ func BenchmarkBatchExpansion(b *testing.B) {
 	pt := core.NewPattern(addrs, 8)
 	ctx := context.Background()
 
-	eng := sim.AcquireBatchEngine()
-	defer sim.ReleaseBatchEngine(eng)
-	if _, err := eng.Run(ctx, cfgs, pt); err != nil { // warm the arenas
-		b.Fatal(err)
+	run := func() {
+		for _, cfg := range cfgs {
+			if _, err := sim.RunContext(ctx, cfg, pt); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	run() // warm the pooled kernel's arenas
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(ctx, cfgs, pt); err != nil {
-			b.Fatal(err)
-		}
+		run()
 	}
-	batchSec := time.Since(start).Seconds()
+	kernelSec := time.Since(start).Seconds()
 	b.StopTimer()
 
 	scalarSec := eventEngineSeconds(b, cfgs, pt)
 
 	points := float64(len(cfgs)) * float64(b.N)
-	b.ReportMetric(points/batchSec, "points/sec")
+	b.ReportMetric(points/kernelSec, "points/sec")
 	scalarPerPoint := scalarSec / float64(len(cfgs))
-	b.ReportMetric(scalarPerPoint/(batchSec/points), "xscalar")
+	b.ReportMetric(scalarPerPoint/(kernelSec/points), "xscalar")
 }
 
 // eventEngineSeconds runs every config once on the event engine, untimed
@@ -561,55 +579,6 @@ func eventEngineSeconds(b *testing.B, cfgs []sim.Config, pt core.Pattern) float6
 		}
 	}
 	return time.Since(start).Seconds()
-}
-
-// BenchmarkBatchExpansionWindowed is the headline number for windowed
-// lockstep batching: the same 16-lane expansion grid as
-// BenchmarkBatchExpansion but closed-loop (Window 8, the F2/F3-style
-// x-sweep shape), so every lane runs the windowed fast path — lockstep
-// until its window fills, then the per-lane replay. Metrics as above;
-// CI gates xscalar >= 2 (the replay is per-lane, so the shared-walk
-// share of the win is smaller than open loop's).
-func BenchmarkBatchExpansionWindowed(b *testing.B) {
-	var cfgs []sim.Config
-	for _, x := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		for _, d := range []float64{6, 14} {
-			cfgs = append(cfgs, sim.Config{
-				Machine: core.Machine{Name: "bench", Procs: 8, Banks: 8 * x, D: d, G: 1, L: 4},
-				Window:  8,
-			})
-		}
-	}
-	rg := rng.New(17)
-	addrs := make([]uint64, 1<<14)
-	for i := range addrs {
-		addrs[i] = rg.Uint64n(1 << 30)
-	}
-	pt := core.NewPattern(addrs, 8)
-	ctx := context.Background()
-
-	eng := sim.AcquireBatchEngine()
-	defer sim.ReleaseBatchEngine(eng)
-	if _, err := eng.Run(ctx, cfgs, pt); err != nil { // warm the arenas
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(ctx, cfgs, pt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	batchSec := time.Since(start).Seconds()
-	b.StopTimer()
-
-	scalarSec := eventEngineSeconds(b, cfgs, pt)
-
-	points := float64(len(cfgs)) * float64(b.N)
-	b.ReportMetric(points/batchSec, "points/sec")
-	scalarPerPoint := scalarSec / float64(len(cfgs))
-	b.ReportMetric(scalarPerPoint/(batchSec/points), "xscalar")
 }
 
 // --- Surrogate-routed huge grid -------------------------------------------

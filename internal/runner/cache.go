@@ -195,7 +195,7 @@ func cacheKey(cfg sim.Config, pt core.Pattern) (string, bool) {
 //
 // The FIFO row-buffer knobs are emitted in the historical bcl/bhd/brs
 // encoding, derived from the normalized Bank sub-config (brs is log2 of
-// the row size, exactly what the deprecated BankRowShift field held), and
+// the row size, exactly what the retired BankRowShift field held), and
 // non-FIFO disciplines append their sub-config after it — so every key
 // minted before the discipline API exists unchanged, and the checkpoint
 // journals and memo entries keyed under it stay valid.

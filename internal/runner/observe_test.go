@@ -164,8 +164,8 @@ func TestObserverIgnoresIncompleteRuns(t *testing.T) {
 		name, from string
 		cfg        sim.Config
 	}{
-		{"kernel-open-loop", "lane-requests", sim.Config{Machine: m}},
-		{"kernel-replay", "replay", sim.Config{Machine: m, Window: 1}},
+		{"kernel-open-loop", "kernel cancelled after", sim.Config{Machine: m}},
+		{"kernel-replay", "kernel replay cancelled after", sim.Config{Machine: m, Window: 1}},
 	} {
 		cfg := tc.cfg
 		cfg.Probe = o

@@ -100,9 +100,8 @@ func TestProbesOffAllocBudget(t *testing.T) {
 }
 
 // TestRunKernelZeroAllocs pins RunContext's kernel path: a warm K=1 run
-// of each kernel-eligible regime on the pooled BatchEngine allocates
-// nothing: every arena is retained and the one-lane config slice stays
-// on the stack. The observed cases attach an aggregate probe that reads
+// of each kernel-eligible regime on the pooled kernel allocates
+// nothing: every arena is retained. The observed cases attach an aggregate probe that reads
 // every committed counter, as the runner's Observer does: the run stays
 // on the kernel, and the counter arenas and the commit allocate nothing
 // either.

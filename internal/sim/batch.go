@@ -1,111 +1,83 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"dxbsp/internal/core"
 )
 
-// BatchEngine advances K simulation configurations ("lanes") over one
-// shared access pattern in lockstep. Sweeps are fans of near-identical
-// points — the same request stream under varying d, x, g, NetDelay or
-// bank map — so the pattern walk, address decode and per-round control
-// flow can be paid once and amortized across every lane instead of once
-// per config (DESIGN.md §14).
-//
-// Lanes that satisfy BatchEligible run on the lockstep fast path over
-// structure-of-arrays state: per-lane clocks and counters in [K]-dense
-// slices, per-(lane,bank) service state in one lane-major arena indexed
-// by off[lane]+bank. The fast path replays exactly the floating-point
-// operations of the scalar event loop in exactly the scalar order (see
-// the correctness argument on runFast and DESIGN.md §16), so every
-// lane's Result is byte-identical to Engine.Run of that lane alone —
-// pinned by the golden 128-config diff, TestBatchMatchesScalar and
-// FuzzBatchVsScalar.
+// kernel is the closed-form simulator for one BatchEligible config. The
+// paper's bank is one FIFO chain per bank, f_i = max(a_i, f_{i-1}) + d,
+// so instead of scheduling events the kernel walks the pattern once —
+// round-major, then processor-major — and computes each request's
+// service from its bank's chain. It replays exactly the floating-point
+// operations of the event engine in exactly its order (see the
+// correctness argument on runPlain and DESIGN.md §14, §16), so its
+// Result and Counters are byte-identical to Engine.Run — pinned by the
+// golden 128-config diff, FuzzBatchVsScalar and
+// FuzzCountersKernelVsEvent.
 //
 // The eligible regime covers the open- and closed-loop (Window > 0)
 // FIFO bank, the Regulated bank, and row-buffer DRAM without bank
-// groups. A closed-loop lane advances in lockstep while no processor is
-// window-blocked; at the first stall the lane alone detaches into a
-// per-lane replay of the scalar engine's remaining events (runReplay) —
-// it never falls back to the pooled scalar engine. Structurally
-// ineligible lanes (combining, sections, EventProbes, GPUShared, HS93 row
-// caches, grouped or multi-row DRAM) run sequentially on one retained
-// scalar engine inside the batch — still one call, still
-// byte-identical, just without the lockstep speedup.
+// groups. A closed-loop run follows the open-loop injection grid until a
+// processor first finds its window full; from there runReplay finishes
+// the run event-exactly without an event queue.
 //
-// RunContext runs every eligible config on a pooled BatchEngine as a
-// one-lane batch, so the closed form is the default simulator for the
-// whole eligible regime, not only for explicit batches.
-//
-// Like Engine, a BatchEngine is single-run at a time and retains every
-// arena across Reset, so warm batches allocate nothing
-// (TestBatchEngineReuseZeroAllocs and TestRunKernelZeroAllocs pin it).
-type BatchEngine struct {
-	// Per-lane parameter SoA, all len K. fast marks lockstep lanes.
-	cfgs []Config
-	fast []bool
+// RunContext runs every eligible config on a pooled kernel. Like Engine,
+// a kernel is single-run at a time and retains every arena across reset,
+// so warm runs allocate nothing (TestBatchEngineReuseZeroAllocs and
+// TestRunKernelZeroAllocs pin it).
+type kernel struct {
+	def defaultMap // boxed default BankMap, as in Engine
 
-	g, nd, d []float64 // issue gap, one-way net delay, service time
-	injT     []float64 // current round's injection time (accumulated += g)
-	lastDone []float64 // completion clock (max response arrival)
-	busyAcc  []float64 // total bank busy time (+= service per service)
-	maxQ     []int32   // high-water queue depth over all banks
-	off      []int32   // lane's base index into the bank arenas
+	g, nd, d float64 // issue gap, one-way net delay, FIFO service time
+	injT     float64 // current round's injection time (accumulated += g)
+	lastDone float64 // completion clock (max response arrival)
+	busyAcc  float64 // total bank busy time (+= service per service)
+	maxQ     int32   // high-water queue depth over all banks
 
-	// Bank-map dispatch, resolved per lane at Reset: a tag plus argument
-	// for the two interleave families, with the boxed interface retained
-	// only for custom maps (mapGeneric).
-	mk    []mapKind
-	mkArg []uint64
-	bms   []core.BankMap
+	// Bank-map dispatch, resolved at reset: a tag plus argument for the
+	// two interleave families, with the boxed interface retained only
+	// for custom maps (mapGeneric).
+	mk    mapKind
+	mkArg uint64
+	bm    core.BankMap
 
-	// Lane-major per-(lane,bank) arenas, sized sum of fast lanes' banks.
-	// lastFin[i] is the finish time of the latest request at that bank;
-	// frontStart[i]/qn[i] model a constant-service FIFO queue without
-	// storing it (see runFast); serve[i] counts services for
-	// MaxBankServed.
+	// Service class and loop shape. rowShift is the DRAM row shift;
+	// hitD/missD the DRAM service times; regW/regB the Regulated window
+	// and budget.
+	cls      serviceClass
+	win      int32 // Window (0 = open loop)
+	rowShift uint8
+	hitD     float64
+	missD    float64
+	regW     float64
+	regB     int32
+
+	// seqCtr replays the event engine's nextSeq stream exactly: blocked
+	// injection attempts consume none, every schedule consumes one. The
+	// open-loop FIFO loop needs no seqs and leaves it alone.
+	seqCtr int32
+
+	// Per-bank service state. lastFin[b] is the finish time of bank b's
+	// latest request; frontStart[b]/qn[b] model a constant-service FIFO
+	// queue without storing it (see runPlain); serve[b] counts services.
 	lastFin    []float64
 	frontStart []float64
 	qn         []int32
 	serve      []int32
 
-	// Per-lane discipline/loop classification (fast lanes only).
-	cls   []laneClass
-	win   []int32 // Window (0 = open loop)
-	plain []bool  // open-loop FIFO: the original PR 8 inline path
-
-	// Per-lane discipline parameters (fast lanes only; meaningful per
-	// class). rowShiftL is the DRAM row shift; hitD/missD the DRAM
-	// service times; regW/regB the Regulated window and budget.
-	rowShiftL []uint8
-	hitD      []float64
-	missD     []float64
-	regW      []float64
-	regB      []int32
-
-	// Per-lane request-sequence counters and result tallies for the
-	// non-plain classes. seqCtr replays the scalar engine's nextSeq
-	// stream exactly (blocked injection attempts consume none, every
-	// schedule consumes one); the tallies are ints, so accumulation
-	// order is free.
-	seqCtr    []int32
-	rowHitsL  []int32
-	rowConfL  []int32
-	thrStalls []int32
-
-	// Per-(lane,bank) arena for the variable-service classes (DRAM,
-	// Regulated), lane-major at vOff[lane] (-1 for FIFO lanes): the open
-	// row tag, the regulation window accounting, the seq of the bank's
-	// latest request (ordering key for deferred accumulation), and a
-	// ring of waiter dequeue times replacing the constant-d frontStart
+	// Per-bank state for the variable-service classes (DRAM, Regulated):
+	// the open row tag, the regulation window accounting, the seq of the
+	// bank's latest request (ordering key for deferred accumulation), and
+	// a ring of waiter dequeue times replacing the constant-d frontStart
 	// arithmetic (a waiter leaves the queue exactly when its predecessor
 	// finishes, which is the value of lastFin at its enqueue).
-	vOff     []int32
 	rowTag   []uint64
 	rowHas   []bool
 	regEpoch []int64
@@ -115,83 +87,58 @@ type BatchEngine struct {
 	ringHead []int32
 	ringN    []int32
 
-	// Per-(lane,proc) arena for closed-loop lanes, lane-major at
-	// wOff[lane] (-1 for open-loop lanes): requests in flight per
-	// processor and the seq of the processor's pending inject event.
-	wOff   []int32
+	// Per-processor state for closed-loop runs: requests in flight and
+	// the seq of the processor's pending inject event.
 	outst  []int32
 	injSeq []int32
 
-	// comp[lane] is a closed-loop lane's pending-completion min-heap
-	// (ordered by time): a completion strictly before the next
-	// injection grid point has been processed by the scalar engine
-	// before that inject, so it drains outst at round start. busyEvs
-	// [lane] collects float accumulations whose scalar order differs
-	// from arrival order (DRAM BankBusy, Regulated ThrottleStallCycles);
-	// they are sorted by scalar event key and summed at finalize.
-	comp    [][]compEv
-	busyEvs [][]busyEv
+	// comp is a closed-loop run's pending-completion min-heap (ordered by
+	// time): a completion strictly before the next injection grid point
+	// has been processed by the event engine before that inject, so it
+	// drains outst at round start. busyEvs collects float accumulations
+	// whose event-engine order differs from arrival order (DRAM BankBusy,
+	// Regulated ThrottleStallCycles); finalize sorts them by event key
+	// and sums them.
+	comp    []compEv
+	busyEvs []busyEv
 
-	// active marks lanes still in lockstep; a closed-loop lane that
-	// window-stalls replays to completion and deactivates. runLanes is
-	// the compactable working copy of laneIdx.
-	active   []bool
-	runLanes []int32
-
-	// Replay scratch, sized to the pattern's processor count. Shared by
-	// all detaching lanes: a detach replays to completion before
-	// lockstep resumes. The replay keeps no global event queue — each
-	// processor exposes at most one actionable candidate (its pending
-	// injection attempt, or, when blocked, the head of its private
-	// completion heap rComp[q]) and the main loop picks the scalar-order
-	// minimum with a linear scan (see runReplay).
+	// Replay scratch, sized to the pattern's processor count. The replay
+	// keeps no global event queue — each processor exposes at most one
+	// actionable candidate (its pending injection attempt, or, when
+	// blocked, the head of its private completion heap rComp[q]) and the
+	// main loop picks the event-order minimum with a linear scan (see
+	// runReplay).
 	rNext  []int32
 	rNIA   []float64
 	rCandT []float64 // candidate time, +Inf when the proc has none
 	rCandA []int64   // candidate aux key: kind<<32 | seq
 	rComp  [][]compEv
 
-	laneIdx  []int32 // fast lanes in order, rebuilt per Reset
-	allPlain bool    // every fast lane is open-loop FIFO
-
-	// Probe accounting (fast lanes only). rps[lane] is the lane's
-	// RunProbe and probed[lane] gates every counter update, so an
-	// unobserved lane runs the same loops at the cost of one predictable
-	// branch per queued arrival. The per-(lane,bank) counter arenas are
-	// indexed like lastFin and armed only when some lane is probed; a
-	// FIFO lane's per-bank busy time is rebuilt at commit from serve
-	// (see commit). cQueued and cStall are per lane. cnt is the commit
-	// view handed to RunDone.
-	rps     []RunProbe
-	probed  []bool
+	// Probe accounting. probed gates every counter update, so an
+	// unobserved run executes the same loops at the cost of one
+	// predictable branch per queued arrival. The per-bank counter slices
+	// are armed only for a probed run; a FIFO run's per-bank busy time is
+	// rebuilt at commit from serve (see commit). cnt is the commit view
+	// handed to RunDone.
+	rp      RunProbe
+	probed  bool
 	cBusy   []float64
 	cWait   []float64
 	cDepth  []int32
-	cQueued []int32
-	cStall  []float64
+	cQueued int32
+	cStall  float64
 	cnt     Counters
 
-	beSorter busyEvSorter
-
-	// Per-lane boxed-default-BankMap caches, mirroring Engine.def:
-	// re-boxing the default interleave map every Reset would cost one
-	// allocation per lane per batch.
-	defs []defaultMap
-
-	results []Result
-
-	// scalar runs the non-fast lanes; retained so their arenas pool too.
-	scalar Engine
+	res Result
 }
 
-// laneClass is a fast lane's service-discipline class, the per-arrival
-// dispatch tag of the lockstep loop.
-type laneClass uint8
+// serviceClass is the kernel's per-arrival service dispatch tag.
+type serviceClass uint8
 
 const (
-	lcFIFO laneClass = iota // constant-d FIFO service
-	lcDRAM                  // single open row per bank, no bank groups
-	lcReg                   // bandwidth-regulated bank
+	clsFIFO serviceClass = iota // constant-d FIFO service
+	clsDRAM                     // single open row per bank, no bank groups
+	clsReg                      // bandwidth-regulated bank
 )
 
 // compEv is one pending closed-loop completion: the response for request
@@ -202,23 +149,29 @@ type compEv struct {
 }
 
 // busyEv is one deferred float accumulation: value v added to a Result
-// accumulator during the scalar event with time t and packed
-// (kind, seq) key.
+// accumulator during the event with time t and packed (kind, seq) key.
+// Keys are unique per run, so the (t, key) order is total.
 type busyEv struct {
 	t   float64
 	key uint64
 	v   float64
 }
 
-type busyEvSorter struct{ s []busyEv }
-
-func (b *busyEvSorter) Len() int      { return len(b.s) }
-func (b *busyEvSorter) Swap(i, j int) { b.s[i], b.s[j] = b.s[j], b.s[i] }
-func (b *busyEvSorter) Less(i, j int) bool {
-	if b.s[i].t != b.s[j].t {
-		return b.s[i].t < b.s[j].t
+// sumInEventOrder sorts evs into the event engine's (time, kind, seq)
+// order and sums them left to right, so the partial-sum rounding is the
+// event engine's bit for bit.
+func sumInEventOrder(evs []busyEv) float64 {
+	slices.SortFunc(evs, func(x, y busyEv) int {
+		if c := cmp.Compare(x.t, y.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.key, y.key)
+	})
+	var s float64
+	for _, e := range evs {
+		s += e.v
 	}
-	return b.s[i].key < b.s[j].key
+	return s
 }
 
 // mapKind tags the bank-map families the hot loops inline instead of
@@ -271,20 +224,18 @@ func bankOf(kind mapKind, arg uint64, bm core.BankMap, addr uint64) int {
 	return bm.Bank(addr)
 }
 
-// BatchEligible reports whether cfg takes the lockstep fast path inside
-// a BatchEngine: open- or closed-loop FIFO, Regulated, or ungrouped
-// single-row DRAM, with no combining, no section bottleneck and no
-// EventProbe (the kernel computes an aggregate Probe's Counters
-// itself). Ineligible configs still run correctly in a batch (on the
-// embedded scalar engine), they just don't share the lockstep pass.
-// RunContext uses it to pick the kernel over the event engine.
+// BatchEligible reports whether cfg runs on the closed-form kernel:
+// open- or closed-loop FIFO, Regulated, or ungrouped single-row DRAM,
+// with no combining, no section bottleneck and no EventProbe (the kernel
+// computes an aggregate Probe's Counters itself). RunContext uses it to
+// pick the kernel over the event engine; both give identical results.
 // Equivalent to BatchFallbackReason(cfg) == "".
 func BatchEligible(cfg Config) bool {
 	return BatchFallbackReason(cfg) == ""
 }
 
-// BatchFallbackReason returns "" when cfg is lockstep-eligible, or a
-// short stable label naming the structural reason it is not. It is
+// BatchFallbackReason returns "" when cfg is kernel-eligible, or a short
+// stable label naming the structural reason it is not. It is
 // deterministic on raw and normalized configs alike (RunContext
 // classifies raw configs), so the one default it must anticipate is
 // DRAM's CacheLines, where unset means one open row.
@@ -300,7 +251,7 @@ func BatchFallbackReason(cfg Config) string {
 	}
 	switch cfg.Bank.Discipline {
 	case FIFO:
-		if cfg.Bank.CacheLines > 0 || cfg.BankCacheLines > 0 {
+		if cfg.Bank.CacheLines > 0 {
 			return "row-cache"
 		}
 	case DRAM:
@@ -311,330 +262,170 @@ func BatchFallbackReason(cfg Config) string {
 			return "dram-multirow"
 		}
 	case Regulated:
-		// Fully eligible: the window accounting is per-(lane,bank) state.
+		// Fully eligible: the window accounting is per-bank state.
 	default:
 		return "gpu-shared"
 	}
 	return ""
 }
 
-// NewBatchEngine returns an empty BatchEngine. The first Run sizes its
-// arenas; later runs reuse them whenever the shape still fits.
-func NewBatchEngine() *BatchEngine { return &BatchEngine{} }
+// kernelPool recycles kernels exactly as enginePool recycles event
+// engines: parked released, so a pooled kernel pins only its own arenas.
+var kernelPool = sync.Pool{New: func() any { return new(kernel) }}
 
-// batchPool recycles BatchEngines exactly as enginePool recycles scalar
-// engines: parked released, so a pooled batch engine pins only its own
-// arenas.
-var batchPool = sync.Pool{New: func() any { return new(BatchEngine) }}
-
-// AcquireBatchEngine borrows a BatchEngine from the package pool. Pair
-// with ReleaseBatchEngine.
-func AcquireBatchEngine() *BatchEngine {
-	return batchPool.Get().(*BatchEngine)
+// release drops the kernel's borrowed references (bank map, probe).
+func (k *kernel) release() {
+	k.bm = nil
+	k.rp = nil
 }
 
-// ReleaseBatchEngine drops the engine's borrowed references (configs,
-// bank maps, last results) and parks it. The engine — and the results
-// slice its last Run returned — must not be used after release.
-func ReleaseBatchEngine(b *BatchEngine) {
-	b.release()
-	batchPool.Put(b)
-}
-
-func (b *BatchEngine) release() {
-	for i := range b.cfgs {
-		b.cfgs[i] = Config{}
-	}
-	for i := range b.bms {
-		b.bms[i] = nil
-	}
-	for i := range b.rps {
-		b.rps[i] = nil
-	}
-	b.scalar.eng.release()
-}
-
-// RunBatch simulates pt under every config in cfgs on a pooled
-// BatchEngine and returns one Result per lane, in lane order. The
-// returned slice is freshly allocated (safe to retain); callers running
-// many batches from one goroutine can hold an engine via
-// AcquireBatchEngine and use BatchEngine.Run to avoid the copy.
+// RunBatch simulates pt under every config in cfgs and returns one
+// Result per config, in order; each is exactly what RunContext returns
+// for that config alone. Validation is all-or-nothing: an invalid config
+// fails the whole batch before any simulation runs, with the error
+// naming its index.
 func RunBatch(ctx context.Context, cfgs []Config, pt core.Pattern) ([]Result, error) {
-	b := AcquireBatchEngine()
-	res, err := b.Run(ctx, cfgs, pt)
-	if err == nil {
-		res = append([]Result(nil), res...)
-	}
-	ReleaseBatchEngine(b)
-	return res, err
-}
-
-// Run simulates one superstep of pt under every config in cfgs and
-// returns one Result per lane, in lane order. Each lane's Result is
-// byte-identical to Engine.Run of that lane alone. Validation is
-// all-or-nothing: any invalid lane fails the whole batch before any lane
-// simulates, with the error naming the lane. The returned slice is owned
-// by the engine and valid until the next Run or release.
-func (b *BatchEngine) Run(ctx context.Context, cfgs []Config, pt core.Pattern) ([]Result, error) {
-	if lane, err := b.run(ctx, cfgs, pt); err != nil {
-		if lane >= 0 {
-			err = fmt.Errorf("sim: batch lane %d: %w", lane, err)
+	var dm defaultMap
+	for i, cfg := range cfgs {
+		if _, err := prepare(cfg, pt, &dm); err != nil {
+			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
 		}
-		return nil, err
 	}
-	return b.results, nil
+	res := make([]Result, len(cfgs))
+	for i, cfg := range cfgs {
+		r, err := RunContext(ctx, cfg, pt)
+		if err != nil {
+			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
+		}
+		res[i] = r
+	}
+	return res, nil
 }
 
-// runOne is RunContext's kernel path: cfg alone at K=1. The one-lane
-// slice does not escape, so a warm run allocates nothing. Its admission
-// errors carry no lane prefix, so a bad config reads exactly as it does
-// on the event engine.
-func (b *BatchEngine) runOne(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
-	if _, err := b.run(ctx, []Config{cfg}, pt); err != nil {
+// run simulates one superstep of pt under the kernel-eligible cfg. Its
+// admission errors are prepare's, so a bad config reads exactly as it
+// does on the event engine.
+func (k *kernel) run(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
+	cfg, err := k.reset(cfg, pt)
+	if err != nil {
 		return Result{}, err
 	}
-	return b.results[0], nil
-}
-
-// run is Run without the lane prefix: it returns the failing lane's
-// index with its error, or -1 when the failure is not one lane's.
-func (b *BatchEngine) run(ctx context.Context, cfgs []Config, pt core.Pattern) (int, error) {
-	if lane, err := b.reset(cfgs, pt); err != nil {
-		return lane, err
-	}
-	// The kernel polls ctx only every batchPollRequests lane-requests, so
-	// a run that is already cancelled must fail here rather than finish
+	// The kernel polls ctx only every kernelPollRequests requests, so a
+	// run that is already cancelled must fail here rather than finish
 	// quietly, as the event engine would fail at its first poll.
 	if err := ctx.Err(); err != nil {
-		return -1, fmt.Errorf("sim: cancelled before the first request: %w", err)
+		return Result{}, fmt.Errorf("sim: cancelled before the first request: %w", err)
 	}
-	// Non-fast lanes run first on the embedded scalar engine; lane order
-	// in the results is preserved regardless of execution order.
-	for i := range b.cfgs {
-		if b.fast[i] {
-			continue
-		}
-		res, err := b.scalar.Run(ctx, b.cfgs[i], pt)
-		if err != nil {
-			return i, err
-		}
-		b.results[i] = res
+	if k.probed {
+		k.rp = cfg.Probe.RunStart(cfg, pt)
 	}
-	for _, li := range b.laneIdx {
-		if b.probed[li] {
-			b.rps[li] = b.cfgs[li].Probe.RunStart(b.cfgs[li], pt)
-		}
+	maxLen := 0
+	for _, addrs := range pt.PerProc {
+		maxLen = max(maxLen, len(addrs))
 	}
-	if err := b.runFast(ctx, pt); err != nil {
-		return -1, err
+	if k.cls == clsFIFO && k.win == 0 {
+		err = k.runPlain(ctx, pt, maxLen)
+	} else {
+		err = k.runMixed(ctx, pt, maxLen)
 	}
-	for _, li := range b.laneIdx {
-		if b.probed[li] {
-			b.commit(li)
-		}
+	if err != nil {
+		return Result{}, err
 	}
-	return -1, nil
+	k.finalize(pt)
+	if k.probed {
+		k.commit()
+	}
+	return k.res, nil
 }
 
-// reset validates every lane and re-arms the SoA state, reusing retained
-// storage. Mirrors Engine.Reset lane by lane; on error it returns the
-// failing lane's index.
-func (b *BatchEngine) reset(cfgs []Config, pt core.Pattern) (int, error) {
-	k := len(cfgs)
+// reset validates cfg and re-arms the kernel for one run of pt, reusing
+// retained storage. It returns the normalized config.
+func (k *kernel) reset(cfg Config, pt core.Pattern) (Config, error) {
+	cfg, err := prepare(cfg, pt, &k.def)
+	if err != nil {
+		return cfg, err
+	}
 	np := pt.Procs()
-	b.cfgs = growSlice(b.cfgs, k)
-	b.fast = growSlice(b.fast, k)
-	b.g = growSlice(b.g, k)
-	b.nd = growSlice(b.nd, k)
-	b.d = growSlice(b.d, k)
-	b.injT = growSlice(b.injT, k)
-	b.lastDone = growSlice(b.lastDone, k)
-	b.busyAcc = growSlice(b.busyAcc, k)
-	b.maxQ = growSlice(b.maxQ, k)
-	b.off = growSlice(b.off, k)
-	b.mk = growSlice(b.mk, k)
-	b.mkArg = growSlice(b.mkArg, k)
-	b.bms = growSlice(b.bms, k)
-	b.cls = growSlice(b.cls, k)
-	b.win = growSlice(b.win, k)
-	b.plain = growSlice(b.plain, k)
-	b.rowShiftL = growSlice(b.rowShiftL, k)
-	b.hitD = growSlice(b.hitD, k)
-	b.missD = growSlice(b.missD, k)
-	b.regW = growSlice(b.regW, k)
-	b.regB = growSlice(b.regB, k)
-	b.seqCtr = growSlice(b.seqCtr, k)
-	b.rowHitsL = growSlice(b.rowHitsL, k)
-	b.rowConfL = growSlice(b.rowConfL, k)
-	b.thrStalls = growSlice(b.thrStalls, k)
-	b.vOff = growSlice(b.vOff, k)
-	b.wOff = growSlice(b.wOff, k)
-	b.active = growSlice(b.active, k)
-	b.comp = growRetained(b.comp, k)
-	b.busyEvs = growRetained(b.busyEvs, k)
-	b.results = growSlice(b.results, k)
-	b.laneIdx = b.laneIdx[:0]
-	b.defs = growSlice(b.defs, k)
-	b.rps = growSlice(b.rps, k)
-	b.probed = growSlice(b.probed, k)
-	b.cQueued = growSlice(b.cQueued, k)
-	b.cStall = growSlice(b.cStall, k)
-	anyProbed := false
+	banks := cfg.Machine.Banks
+	k.g, k.nd, k.d = cfg.Machine.G, cfg.NetDelay, cfg.Machine.D
+	k.injT, k.lastDone, k.busyAcc, k.maxQ = 0, 0, 0, 0
+	k.mk, k.mkArg = resolveMap(cfg.BankMap)
+	k.bm = cfg.BankMap
+	k.win = int32(cfg.Window)
+	k.res = Result{}
+	switch cfg.Bank.Discipline {
+	case DRAM:
+		k.cls = clsDRAM
+		k.rowShift = uint8(rowShiftOf(cfg.Bank.RowWords))
+		k.hitD = cfg.Bank.HitDelay
+		k.missD = cfg.Bank.MissDelay
+	case Regulated:
+		k.cls = clsReg
+		k.regW = cfg.Bank.RegWindow
+		k.regB = int32(cfg.Bank.RegBudget)
+	default:
+		k.cls = clsFIFO
+	}
 
-	// nonEmpty replays the scalar reset's initial injection scheduling:
-	// one evInject seq per processor with a non-empty stream, assigned
-	// in processor order.
-	nonEmpty := int32(0)
-	for _, addrs := range pt.PerProc {
+	k.lastFin = growSlice(k.lastFin, banks)
+	k.frontStart = growSlice(k.frontStart, banks)
+	k.qn = growSlice(k.qn, banks)
+	k.serve = growSlice(k.serve, banks)
+	for i := range k.lastFin {
+		k.lastFin[i] = -1 // any arrival time is >= 0, so -1 reads as idle
+	}
+
+	k.probed = cfg.Probe != nil
+	k.cQueued, k.cStall = 0, 0
+	if k.probed {
+		k.cBusy = growSlice(k.cBusy, banks)
+		k.cWait = growSlice(k.cWait, banks)
+		k.cDepth = growSlice(k.cDepth, banks)
+	}
+
+	if k.cls != clsFIFO {
+		k.rowTag = growSlice(k.rowTag, banks)
+		k.rowHas = growSlice(k.rowHas, banks)
+		k.regEpoch = growSlice(k.regEpoch, banks)
+		k.regUsed = growSlice(k.regUsed, banks)
+		k.lastSeq = growSlice(k.lastSeq, banks)
+		k.ringBuf = growRetained(k.ringBuf, banks)
+		k.ringHead = growSlice(k.ringHead, banks)
+		k.ringN = growSlice(k.ringN, banks)
+		k.busyEvs = k.busyEvs[:0]
+	}
+
+	if k.win > 0 {
+		k.outst = growSlice(k.outst, np)
+		k.injSeq = growSlice(k.injSeq, np)
+		k.comp = k.comp[:0]
+		k.rNext = growSlice(k.rNext, np)
+		k.rNIA = growSlice(k.rNIA, np)
+		k.rCandT = growSlice(k.rCandT, np)
+		k.rCandA = growSlice(k.rCandA, np)
+		k.rComp = growRetained(k.rComp, np)
+	}
+
+	// The event engine's reset schedules one inject per processor with a
+	// non-empty stream, assigning seqs in processor order.
+	k.seqCtr = 0
+	for q, addrs := range pt.PerProc {
 		if len(addrs) > 0 {
-			nonEmpty++
-		}
-	}
-
-	total, vTotal, wTotal := 0, 0, 0
-	b.allPlain = true
-	for i, cfg := range cfgs {
-		cfg, err := prepare(cfg, pt, &b.defs[i])
-		if err != nil {
-			return i, err
-		}
-		b.cfgs[i] = cfg
-		b.fast[i] = BatchEligible(cfg)
-		b.results[i] = Result{}
-		b.rps[i] = nil
-		b.probed[i] = b.fast[i] && cfg.Probe != nil
-		b.cQueued[i] = 0
-		b.cStall[i] = 0
-		anyProbed = anyProbed || b.probed[i]
-		if !b.fast[i] {
-			continue
-		}
-		b.laneIdx = append(b.laneIdx, int32(i))
-		b.g[i] = cfg.Machine.G
-		b.nd[i] = cfg.NetDelay
-		b.d[i] = cfg.Machine.D
-		b.injT[i] = 0
-		b.lastDone[i] = 0
-		b.busyAcc[i] = 0
-		b.maxQ[i] = 0
-		b.off[i] = int32(total)
-		b.mk[i], b.mkArg[i] = resolveMap(cfg.BankMap)
-		b.bms[i] = cfg.BankMap
-		total += cfg.Machine.Banks
-
-		b.win[i] = int32(cfg.Window)
-		switch cfg.Bank.Discipline {
-		case DRAM:
-			b.cls[i] = lcDRAM
-			b.rowShiftL[i] = uint8(rowShiftOf(cfg.Bank.RowWords))
-			b.hitD[i] = cfg.Bank.HitDelay
-			b.missD[i] = cfg.Bank.MissDelay
-		case Regulated:
-			b.cls[i] = lcReg
-			b.regW[i] = cfg.Bank.RegWindow
-			b.regB[i] = int32(cfg.Bank.RegBudget)
-		default:
-			b.cls[i] = lcFIFO
-		}
-		b.plain[i] = b.cls[i] == lcFIFO && cfg.Window == 0
-		b.active[i] = true
-		b.seqCtr[i] = 0
-		b.rowHitsL[i] = 0
-		b.rowConfL[i] = 0
-		b.thrStalls[i] = 0
-		if b.cls[i] != lcFIFO {
-			b.vOff[i] = int32(vTotal)
-			vTotal += cfg.Machine.Banks
-			b.busyEvs[i] = b.busyEvs[i][:0]
-		} else {
-			b.vOff[i] = -1
-		}
-		if cfg.Window > 0 {
-			b.wOff[i] = int32(wTotal)
-			wTotal += np
-			b.comp[i] = b.comp[i][:0]
-		} else {
-			b.wOff[i] = -1
-		}
-		if !b.plain[i] {
-			b.allPlain = false
-			b.seqCtr[i] = nonEmpty
-		}
-	}
-
-	b.lastFin = growSlice(b.lastFin, total)
-	b.frontStart = growSlice(b.frontStart, total)
-	b.qn = growSlice(b.qn, total)
-	b.serve = growSlice(b.serve, total)
-	for i := range b.lastFin {
-		b.lastFin[i] = -1 // any arrival time is >= 0, so -1 reads as idle
-		b.frontStart[i] = 0
-		b.qn[i] = 0
-		b.serve[i] = 0
-	}
-	if anyProbed {
-		b.cBusy = growSlice(b.cBusy, total)
-		b.cWait = growSlice(b.cWait, total)
-		b.cDepth = growSlice(b.cDepth, total)
-		clear(b.cBusy)
-		clear(b.cWait)
-		clear(b.cDepth)
-	}
-
-	b.rowTag = growSlice(b.rowTag, vTotal)
-	b.rowHas = growSlice(b.rowHas, vTotal)
-	b.regEpoch = growSlice(b.regEpoch, vTotal)
-	b.regUsed = growSlice(b.regUsed, vTotal)
-	b.lastSeq = growSlice(b.lastSeq, vTotal)
-	b.ringBuf = growRetained(b.ringBuf, vTotal)
-	b.ringHead = growSlice(b.ringHead, vTotal)
-	b.ringN = growSlice(b.ringN, vTotal)
-	for i := 0; i < vTotal; i++ {
-		b.rowTag[i] = 0
-		b.rowHas[i] = false
-		b.regEpoch[i] = 0
-		b.regUsed[i] = 0
-		b.lastSeq[i] = 0
-		b.ringHead[i] = 0
-		b.ringN[i] = 0
-	}
-
-	b.outst = growSlice(b.outst, wTotal)
-	b.injSeq = growSlice(b.injSeq, wTotal)
-	for i := 0; i < wTotal; i++ {
-		b.outst[i] = 0
-		b.injSeq[i] = 0
-	}
-
-	// Closed-loop lanes replay the scalar reset's seq assignment for the
-	// initial per-processor inject events.
-	for _, li := range b.laneIdx {
-		if b.win[li] == 0 {
-			continue
-		}
-		wb := int(b.wOff[li])
-		ctr := int32(0)
-		for q, addrs := range pt.PerProc {
-			if len(addrs) > 0 {
-				ctr++
-				b.injSeq[wb+q] = ctr
+			k.seqCtr++
+			if k.win > 0 {
+				k.injSeq[q] = k.seqCtr
 			}
 		}
 	}
-
-	b.rNext = growSlice(b.rNext, np)
-	b.rNIA = growSlice(b.rNIA, np)
-	b.rCandT = growSlice(b.rCandT, np)
-	b.rCandA = growSlice(b.rCandA, np)
-	b.rComp = growRetained(b.rComp, np)
-	return -1, nil
+	return cfg, nil
 }
 
-// growSlice returns s resized to length n, reusing capacity and zeroing
-// nothing (callers reinitialize the active region themselves).
+// growSlice returns s resized to length n and zeroed, reusing capacity.
 func growSlice[T any](s []T, n int) []T {
 	if cap(s) >= n {
-		return s[:n]
+		s = s[:n]
+		clear(s)
+		return s
 	}
 	return make([]T, n)
 }
@@ -651,14 +442,16 @@ func growRetained[T any](s []T, n int) []T {
 	return ns
 }
 
-// batchPollRequests is how many (lane, request) services pass between
-// context polls in runFast — the batch analogue of cancelCheckEvents.
-const batchPollRequests = 4096
+// kernelPollRequests is how many requests pass between context polls in
+// the kernel's loops — the kernel's analogue of cancelCheckEvents.
+const kernelPollRequests = 4096
 
-// runFast executes every fast lane in lockstep over the shared pattern.
+// runPlain is the open-loop FIFO loop: no class dispatch, no stall
+// detection and no seq bookkeeping, with the run's scalars held in
+// locals.
 //
-// Correctness. In the open-loop FIFO regime the scalar event loop is
-// fully determined:
+// Correctness. In the open-loop FIFO regime the event loop is fully
+// determined:
 //
 //   - Processor p injects its r-th request at t_r, with t_0 = 0 and
 //     t_{r+1} = t_r + G (inject accumulates nextIssueAt = now + G), so
@@ -668,327 +461,221 @@ const batchPollRequests = 4096
 //   - Every request arrives at its bank at a = t_r + NetDelay. Arrivals
 //     at one bank are ordered by (time, seq); both orders agree with
 //     (round, proc), so walking round-major then proc-major visits each
-//     bank's arrivals in exactly the scalar service order.
+//     bank's arrivals in exactly the event engine's service order.
 //   - A bank is busy at arrival a iff the previous request's finish
 //     f >= a: bank-done at time == a has event kind evBankDone >
 //     evBankArrive, so the done fires after the arrival and the arrival
 //     queues. A queued request starts when its predecessor finishes, so
-//     finishes chain f_i = f_{i-1} + d — the same float op the scalar
+//     finishes chain f_i = f_{i-1} + d — the same float op the event
 //     engine performs — and an idle bank serves on arrival, f = a + d.
-//   - Queue depth: the scalar ring's maxQ counts waiters excluding the
+//   - Queue depth: the event engine's ring counts waiters excluding the
 //     one in service. Rather than store the queue, we keep the oldest
 //     waiter's start time (frontStart) and the waiter count (qn): a
 //     waiter has left the queue by time a iff its start s < a (a start
 //     at s == a comes from a done at s, kind evBankDone, which fires
 //     after the arrival), and successive waiters' starts differ by
-//     exactly += d, so popping replays the exact floats the scalar
-//     engine computed.
+//     exactly += d, so popping replays the exact floats the event engine
+//     computed.
 //   - Responses only advance the completion clock (open loop collapses
 //     evComplete): lastDone = max over requests of f + NetDelay, and
 //     BankBusy accumulates += d per service — order-independent here
-//     because d is constant within a lane.
-//
-// The widened regime (DESIGN.md §16) keeps the same skeleton:
-//
-//   - Closed loop (Window > 0): while no processor of the lane is
-//     window-blocked, the closed-loop scalar run performs exactly the
-//     open-loop float ops — injections stay on the shared grid and
-//     completions only drain the window. A completion strictly earlier
-//     than an injection attempt has been processed before it (kind
-//     evInject < evComplete breaks the time tie the other way), so
-//     outst is drained from the pending-completion heap at each round
-//     start with strict <. The first attempt that would block is
-//     exactly where the scalar engine diverges from the grid, so the
-//     lane detaches there and runReplay finishes it event-exactly.
-//   - DRAM/Regulated service times vary per request, so the constant-d
-//     frontStart/qn drain is replaced by a per-(lane,bank) ring of
-//     waiter dequeue times (a waiter dequeues exactly when its
-//     predecessor finishes — the value of lastFin at its enqueue), and
-//     float accumulators whose scalar order is the global service-start
-//     event order rather than arrival order (DRAM BankBusy, Regulated
-//     ThrottleStallCycles) are deferred: recorded with their scalar
-//     (time, kind, seq) event key, sorted, and summed at finalize so
-//     the partial-sum rounding is bit-identical.
-func (b *BatchEngine) runFast(ctx context.Context, pt core.Pattern) error {
-	if len(b.laneIdx) == 0 {
-		return nil
-	}
-	maxLen := 0
-	for _, addrs := range pt.PerProc {
-		if len(addrs) > maxLen {
-			maxLen = len(addrs)
-		}
-	}
-	var err error
-	if b.allPlain {
-		err = b.runPlain(ctx, pt, maxLen)
-	} else {
-		err = b.runMixed(ctx, pt, maxLen)
-	}
-	if err != nil {
-		return err
-	}
-	b.finalize(pt)
-	return nil
-}
-
-// runPlain is the PR 8 lockstep loop, unchanged: every fast lane is
-// open-loop FIFO, so there is no per-lane class dispatch, no stall
-// detection and no seq bookkeeping on the hot path.
-func (b *BatchEngine) runPlain(ctx context.Context, pt core.Pattern, maxLen int) error {
-	lanes := b.laneIdx
+//     because d is constant.
+func (k *kernel) runPlain(ctx context.Context, pt core.Pattern, maxLen int) error {
+	lastFin, frontStart, qn, serve := k.lastFin, k.frontStart, k.qn, k.serve
+	mk, mkArg, bm := k.mk, k.mkArg, k.bm
+	g, nd, d := k.g, k.nd, k.d
+	probed := k.probed
+	injT, lastDone, busy, maxQ := k.injT, k.lastDone, k.busyAcc, k.maxQ
 	processed := 0
 	sincePoll := 0
 	for r := 0; r < maxLen; r++ {
-		if sincePoll >= batchPollRequests {
+		if sincePoll >= kernelPollRequests {
 			sincePoll = 0
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: batch cancelled after %d lane-requests: %w", processed, err)
+				return fmt.Errorf("sim: kernel cancelled after %d requests: %w", processed, err)
 			}
 		}
+		a := injT + nd
 		for _, addrs := range pt.PerProc {
 			if r >= len(addrs) {
 				continue
 			}
-			addr := addrs[r]
-			for _, li := range lanes {
-				a := b.injT[li] + b.nd[li]
-				bank := bankOf(b.mk[li], b.mkArg[li], b.bms[li], addr)
-				idx := int(b.off[li]) + bank
-				dl := b.d[li]
-				var done float64
-				if f := b.lastFin[idx]; f >= a {
-					// Busy: drain waiters already started before a, then queue.
-					fs, n := b.frontStart[idx], b.qn[idx]
-					for n > 0 && fs < a {
-						fs += dl
-						n--
-					}
-					n++
-					if n == 1 {
-						fs = f
-					}
-					b.frontStart[idx] = fs
-					b.qn[idx] = n
-					if n > b.maxQ[li] {
-						b.maxQ[li] = n
-					}
-					if b.probed[li] {
-						b.countQueued(li, idx, f-a, n-1)
-					}
-					done = f + dl
-				} else {
-					b.qn[idx] = 0
-					done = a + dl
+			bank := bankOf(mk, mkArg, bm, addrs[r])
+			var done float64
+			if f := lastFin[bank]; f >= a {
+				// Busy: drain waiters already started before a, then queue.
+				fs, n := frontStart[bank], qn[bank]
+				for n > 0 && fs < a {
+					fs += d
+					n--
 				}
-				b.lastFin[idx] = done
-				b.serve[idx]++
-				b.busyAcc[li] += dl
-				if t := done + b.nd[li]; t > b.lastDone[li] {
-					b.lastDone[li] = t
+				n++
+				if n == 1 {
+					fs = f
 				}
+				frontStart[bank] = fs
+				qn[bank] = n
+				maxQ = max(maxQ, n)
+				if probed {
+					k.countQueued(bank, f-a, n-1)
+				}
+				done = f + d
+			} else {
+				qn[bank] = 0
+				done = a + d
 			}
-			processed += len(lanes)
-			sincePoll += len(lanes)
+			lastFin[bank] = done
+			serve[bank]++
+			busy += d
+			if t := done + nd; t > lastDone {
+				lastDone = t
+			}
+			processed++
+			sincePoll++
 		}
-		for _, li := range lanes {
-			b.injT[li] += b.g[li]
-		}
+		injT += g
 	}
+	k.injT, k.lastDone, k.busyAcc, k.maxQ = injT, lastDone, busy, maxQ
 	return nil
 }
 
-// runMixed is the lockstep loop with per-lane class dispatch: open-loop
-// FIFO lanes take the plain block, DRAM/Regulated lanes the
-// variable-service block, and closed-loop lanes additionally track the
-// in-flight window and detach into runReplay at their first stall.
-func (b *BatchEngine) runMixed(ctx context.Context, pt core.Pattern, maxLen int) error {
-	b.runLanes = append(b.runLanes[:0], b.laneIdx...)
-	lanes := b.runLanes
+// runMixed is the loop for the other eligible shapes — DRAM and
+// Regulated service, and closed-loop runs of any class. A closed-loop
+// run tracks the in-flight window and, at its first stall, hands the
+// rest of the run to runReplay.
+//
+// The extra shapes keep runPlain's skeleton (DESIGN.md §16):
+//
+//   - Closed loop (Window > 0): while no processor is window-blocked,
+//     the event engine performs exactly the open-loop float ops —
+//     injections stay on the grid and completions only drain the window.
+//     A completion strictly earlier than an injection attempt has been
+//     processed before it (kind evInject < evComplete breaks the time
+//     tie the other way), so outst is drained from the pending-completion
+//     heap at each round start with strict <. The first attempt that
+//     would block is exactly where the event engine leaves the grid, so
+//     runReplay takes over there.
+//   - DRAM/Regulated service times vary per request, so the constant-d
+//     frontStart/qn drain is replaced by a per-bank ring of waiter
+//     dequeue times (a waiter dequeues exactly when its predecessor
+//     finishes — the value of lastFin at its enqueue), and float
+//     accumulators whose event-engine order is the global service-start
+//     order rather than arrival order (DRAM BankBusy, Regulated
+//     ThrottleStallCycles) are deferred: recorded with their (time, kind,
+//     seq) event key, sorted, and summed at finalize so the partial-sum
+//     rounding is bit-identical.
+func (k *kernel) runMixed(ctx context.Context, pt core.Pattern, maxLen int) error {
+	win := k.win
 	processed := 0
 	sincePoll := 0
-	for r := 0; r < maxLen && len(lanes) > 0; r++ {
-		if sincePoll >= batchPollRequests {
+	for r := 0; r < maxLen; r++ {
+		if sincePoll >= kernelPollRequests {
 			sincePoll = 0
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: batch cancelled after %d lane-requests: %w", processed, err)
+				return fmt.Errorf("sim: kernel cancelled after %d requests: %w", processed, err)
 			}
 		}
 		// A completion strictly before this round's injection grid point
-		// precedes every one of the round's inject events in the scalar
+		// precedes every one of the round's inject events in the event
 		// order, so it has already released its window slot.
-		for _, li := range lanes {
-			if b.win[li] > 0 && len(b.comp[li]) > 0 {
-				b.drainComp(li, b.injT[li])
-			}
+		if win > 0 && len(k.comp) > 0 {
+			k.drainComp(k.injT)
 		}
-		detached := false
 		for p, addrs := range pt.PerProc {
 			if r >= len(addrs) {
 				continue
 			}
+			if win > 0 && k.outst[p] >= win {
+				// Window stall: exactly where the event engine leaves the
+				// injection grid. The blocked attempt consumes no seq.
+				return k.runReplay(ctx, pt, r, p, processed)
+			}
 			addr := addrs[r]
-			for _, li := range lanes {
-				if !b.active[li] {
-					continue
-				}
-				if b.plain[li] {
-					a := b.injT[li] + b.nd[li]
-					bank := bankOf(b.mk[li], b.mkArg[li], b.bms[li], addr)
-					idx := int(b.off[li]) + bank
-					dl := b.d[li]
-					var done float64
-					if f := b.lastFin[idx]; f >= a {
-						fs, n := b.frontStart[idx], b.qn[idx]
-						for n > 0 && fs < a {
-							fs += dl
-							n--
-						}
-						n++
-						if n == 1 {
-							fs = f
-						}
-						b.frontStart[idx] = fs
-						b.qn[idx] = n
-						if n > b.maxQ[li] {
-							b.maxQ[li] = n
-						}
-						if b.probed[li] {
-							b.countQueued(li, idx, f-a, n-1)
-						}
-						done = f + dl
-					} else {
-						b.qn[idx] = 0
-						done = a + dl
-					}
-					b.lastFin[idx] = done
-					b.serve[idx]++
-					b.busyAcc[li] += dl
-					if t := done + b.nd[li]; t > b.lastDone[li] {
-						b.lastDone[li] = t
-					}
-					continue
-				}
-
-				wb := -1
-				if b.win[li] > 0 {
-					wb = int(b.wOff[li])
-					if b.outst[wb+p] >= b.win[li] {
-						// Window stall: exactly where the scalar engine leaves
-						// the shared injection grid. Replay this lane alone to
-						// completion; the blocked attempt consumes no seq.
-						if err := b.runReplay(ctx, li, pt, r, p); err != nil {
-							return err
-						}
-						b.active[li] = false
-						detached = true
-						continue
-					}
-				}
-				reqSeq := b.seqCtr[li] + 1
-				ctr := reqSeq
-				if r+1 < len(addrs) {
-					ctr++
-					if wb >= 0 {
-						b.injSeq[wb+p] = ctr
-					}
-				}
-				b.seqCtr[li] = ctr
-				a := b.injT[li] + b.nd[li]
-				bank := bankOf(b.mk[li], b.mkArg[li], b.bms[li], addr)
-				done := b.serveLane(li, bank, a, addr, reqSeq, false)
-				t := done + b.nd[li]
-				if t > b.lastDone[li] {
-					b.lastDone[li] = t
-				}
-				if wb >= 0 {
-					b.outst[wb+p]++
-					b.pushComp(li, compEv{t: t, seq: reqSeq, proc: int32(p)})
+			reqSeq := k.seqCtr + 1
+			ctr := reqSeq
+			if r+1 < len(addrs) {
+				ctr++
+				if win > 0 {
+					k.injSeq[p] = ctr
 				}
 			}
-			processed += len(lanes)
-			sincePoll += len(lanes)
-		}
-		for _, li := range lanes {
-			if b.active[li] {
-				b.injT[li] += b.g[li]
+			k.seqCtr = ctr
+			a := k.injT + k.nd
+			done := k.serveAt(bankOf(k.mk, k.mkArg, k.bm, addr), a, addr, reqSeq, false)
+			t := done + k.nd
+			if t > k.lastDone {
+				k.lastDone = t
 			}
-		}
-		if detached {
-			kept := lanes[:0]
-			for _, li := range lanes {
-				if b.active[li] {
-					kept = append(kept, li)
-				}
+			if win > 0 {
+				k.outst[p]++
+				k.pushComp(compEv{t: t, seq: reqSeq, proc: int32(p)})
 			}
-			lanes = kept
+			processed++
+			sincePoll++
 		}
+		k.injT += k.g
 	}
 	return nil
 }
 
-// serveLane services one arrival for a non-plain lane: arrival time a,
-// request sequence reqSeq, returning the service finish time. It
-// replays the scalar startBank for the lane's class, including the
-// queue bookkeeping.
+// serveAt services one arrival outside the open-loop FIFO loop: arrival
+// time a, request sequence reqSeq, returning the service finish time. It
+// replays the event engine's startBank for the run's class, including
+// the queue bookkeeping.
 //
-// late marks an arrival the scalar engine processes after the bank-done
+// late marks an arrival the event engine processes after the bank-done
 // events at its own timestamp have already fired: a replay re-inject at
 // its completion's instant with NetDelay 0 (repEv kind 1). For such an
 // arrival, a service finishing exactly at a has completed (the bank may
 // be idle at f == a) and a waiter whose service starts exactly at a has
 // left the queue — so the busy test and the dequeue drains tighten from
 // strict to inclusive comparisons against a.
-func (b *BatchEngine) serveLane(li int32, bank int, a float64, addr uint64, reqSeq int32, late bool) float64 {
-	idx := int(b.off[li]) + bank
-	if b.cls[li] == lcFIFO {
+func (k *kernel) serveAt(bank int, a float64, addr uint64, reqSeq int32, late bool) float64 {
+	if k.cls == clsFIFO {
 		// Closed-loop FIFO: service is the constant d, so the open-loop
 		// frontStart/qn arithmetic applies verbatim.
-		dl := b.d[li]
+		d := k.d
 		var done float64
-		if f := b.lastFin[idx]; f > a || (f == a && !late) {
-			fs, n := b.frontStart[idx], b.qn[idx]
+		if f := k.lastFin[bank]; f > a || (f == a && !late) {
+			fs, n := k.frontStart[bank], k.qn[bank]
 			for n > 0 && (fs < a || (late && fs == a)) {
-				fs += dl
+				fs += d
 				n--
 			}
 			n++
 			if n == 1 {
 				fs = f
 			}
-			b.frontStart[idx] = fs
-			b.qn[idx] = n
-			if n > b.maxQ[li] {
-				b.maxQ[li] = n
+			k.frontStart[bank] = fs
+			k.qn[bank] = n
+			k.maxQ = max(k.maxQ, n)
+			if k.probed {
+				k.countQueued(bank, f-a, n-1)
 			}
-			if b.probed[li] {
-				b.countQueued(li, idx, f-a, n-1)
-			}
-			done = f + dl
+			done = f + d
 		} else {
-			b.qn[idx] = 0
-			done = a + dl
+			k.qn[bank] = 0
+			done = a + d
 		}
-		b.lastFin[idx] = done
-		b.serve[idx]++
-		b.busyAcc[li] += dl
+		k.lastFin[bank] = done
+		k.serve[bank]++
+		k.busyAcc += d
 		return done
 	}
 
-	// Variable-service classes (DRAM, Regulated). The scalar start event
-	// for a queued request is its predecessor's bank-done (kind
-	// evBankDone, the predecessor's seq); for an idle bank it is the
-	// arrival itself (kind evBankArrive, own seq). That key orders the
-	// deferred float accumulations.
-	vi := int(b.vOff[li]) + bank
-	f := b.lastFin[idx]
+	// Variable-service classes (DRAM, Regulated). The event engine's
+	// start event for a queued request is its predecessor's bank-done
+	// (kind evBankDone, the predecessor's seq); for an idle bank it is
+	// the arrival itself (kind evBankArrive, own seq). That key orders
+	// the deferred float accumulations.
+	f := k.lastFin[bank]
 	var start float64
 	var key uint64
 	if f > a || (f == a && !late) {
 		// Busy: waiters dequeue exactly when their predecessors finish,
 		// so the ring of recorded finishes replays the queue.
-		buf := b.ringBuf[vi]
-		h, n := int(b.ringHead[vi]), int(b.ringN[vi])
+		buf := k.ringBuf[bank]
+		h, n := int(k.ringHead[bank]), int(k.ringN[bank])
 		if n > 0 {
 			mask := len(buf) - 1
 			for n > 0 && (buf[h] < a || (late && buf[h] == a)) {
@@ -1006,23 +693,21 @@ func (b *BatchEngine) serveLane(li int32, bank int, a float64, addr uint64, reqS
 			}
 			buf = grown
 			h = 0
-			b.ringBuf[vi] = buf
+			k.ringBuf[bank] = buf
 		}
 		buf[(h+n)&(len(buf)-1)] = f
 		n++
-		b.ringHead[vi] = int32(h)
-		b.ringN[vi] = int32(n)
-		if int32(n) > b.maxQ[li] {
-			b.maxQ[li] = int32(n)
-		}
-		if b.probed[li] {
-			b.countQueued(li, idx, 0, int32(n-1))
+		k.ringHead[bank] = int32(h)
+		k.ringN[bank] = int32(n)
+		k.maxQ = max(k.maxQ, int32(n))
+		if k.probed {
+			k.countQueued(bank, 0, int32(n-1))
 		}
 		start = f
-		key = 3<<32 | uint64(uint32(b.lastSeq[vi]))
+		key = 3<<32 | uint64(uint32(k.lastSeq[bank]))
 	} else {
-		b.ringHead[vi] = 0
-		b.ringN[vi] = 0
+		k.ringHead[bank] = 0
+		k.ringN[bank] = 0
 		start = a
 		key = 2<<32 | uint64(uint32(reqSeq))
 		if late {
@@ -1036,74 +721,74 @@ func (b *BatchEngine) serveLane(li int32, bank int, a float64, addr uint64, reqS
 	}
 
 	var service float64
-	if b.cls[li] == lcDRAM {
-		row := addr >> uint(b.rowShiftL[li])
-		if b.rowHas[vi] && b.rowTag[vi] == row {
-			service = b.hitD[li]
-			b.rowHitsL[li]++
+	if k.cls == clsDRAM {
+		row := addr >> uint(k.rowShift)
+		if k.rowHas[bank] && k.rowTag[bank] == row {
+			service = k.hitD
+			k.res.RowHits++
 		} else {
-			b.rowTag[vi] = row
-			b.rowHas[vi] = true
-			service = b.missD[li]
-			b.rowConfL[li]++
+			k.rowTag[bank] = row
+			k.rowHas[bank] = true
+			service = k.missD
+			k.res.RowConflicts++
 		}
 		// DRAM services vary (hit vs miss), so BankBusy's partial sums
-		// depend on the scalar accumulation order; defer to finalize.
-		b.busyEvs[li] = append(b.busyEvs[li], busyEv{t: start, key: key, v: service})
+		// depend on the event engine's accumulation order; defer to
+		// finalize.
+		k.busyEvs = append(k.busyEvs, busyEv{t: start, key: key, v: service})
 	} else {
-		rw := b.regW[li]
+		rw := k.regW
 		ep := int64(start / rw)
-		if ep > b.regEpoch[vi] {
-			b.regEpoch[vi] = ep
-			b.regUsed[vi] = 0
+		if ep > k.regEpoch[bank] {
+			k.regEpoch[bank] = ep
+			k.regUsed[bank] = 0
 		}
-		if b.regUsed[vi] >= b.regB[li] {
+		if k.regUsed[bank] >= k.regB {
 			// Budget exhausted: hold the bank until the next window opens.
-			b.regEpoch[vi]++
-			b.regUsed[vi] = 0
-			ns := float64(b.regEpoch[vi]) * rw
-			b.thrStalls[li]++
-			b.busyEvs[li] = append(b.busyEvs[li], busyEv{t: start, key: key, v: ns - start})
+			k.regEpoch[bank]++
+			k.regUsed[bank] = 0
+			ns := float64(k.regEpoch[bank]) * rw
+			k.res.ThrottleStalls++
+			k.busyEvs = append(k.busyEvs, busyEv{t: start, key: key, v: ns - start})
 			start = ns
 		}
-		b.regUsed[vi]++
-		service = b.d[li]
-		b.busyAcc[li] += service
+		k.regUsed[bank]++
+		service = k.d
+		k.busyAcc += service
 	}
-	if b.probed[li] {
+	if k.probed {
 		// Regulation may defer the start past the predecessor's finish,
 		// so the wait is taken from the final start: start − a, which
 		// is zero for an undeferred start on an idle bank.
-		b.cBusy[idx] += service
-		b.cWait[idx] += start - a
+		k.cBusy[bank] += service
+		k.cWait[bank] += start - a
 	}
 	done := start + service
-	b.lastFin[idx] = done
-	b.lastSeq[vi] = reqSeq
-	b.serve[idx]++
+	k.lastFin[bank] = done
+	k.lastSeq[bank] = reqSeq
+	k.serve[bank]++
 	return done
 }
 
-// countQueued records, for probed lane li, an arrival at bank arena
-// index idx that found the bank busy: it waits wait cycles (0 when the
-// caller adds the wait itself) behind a line of depth requests.
-func (b *BatchEngine) countQueued(li int32, idx int, wait float64, depth int32) {
-	b.cQueued[li]++
-	b.cWait[idx] += wait
-	if depth > b.cDepth[idx] {
-		b.cDepth[idx] = depth
+// countQueued records, for a probed run, an arrival at bank that found
+// it busy: it waits wait cycles (0 when the caller adds the wait
+// itself) behind a line of depth requests.
+func (k *kernel) countQueued(bank int, wait float64, depth int32) {
+	k.cQueued++
+	k.cWait[bank] += wait
+	if depth > k.cDepth[bank] {
+		k.cDepth[bank] = depth
 	}
 }
 
-// drainComp pops lane li's pending completions strictly earlier than t,
+// drainComp pops the pending completions strictly earlier than t,
 // releasing their processors' window slots. Completion responses update
 // the completion clock at push time (max, order-independent), so the
 // drain only touches outst.
-func (b *BatchEngine) drainComp(li int32, t float64) {
-	h := b.comp[li]
-	wb := int(b.wOff[li])
+func (k *kernel) drainComp(t float64) {
+	h := k.comp
 	for len(h) > 0 && h[0].t < t {
-		b.outst[wb+int(h[0].proc)]--
+		k.outst[h[0].proc]--
 		n := len(h) - 1
 		h[0] = h[n]
 		h = h[:n]
@@ -1124,12 +809,12 @@ func (b *BatchEngine) drainComp(li int32, t float64) {
 			i = c
 		}
 	}
-	b.comp[li] = h
+	k.comp = h
 }
 
-// pushComp inserts a pending completion into lane li's min-heap.
-func (b *BatchEngine) pushComp(li int32, e compEv) {
-	h := append(b.comp[li], e)
+// pushComp inserts a pending completion into the min-heap.
+func (k *kernel) pushComp(e compEv) {
+	h := append(k.comp, e)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -1139,15 +824,15 @@ func (b *BatchEngine) pushComp(li int32, e compEv) {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	b.comp[li] = h
+	k.comp = h
 }
 
-// Replay candidate aux keys: the scalar event kind packed above the
-// request seq, so one int64 comparison resolves the (kind, seq)
-// tie-break. Kind 0 is an injection attempt, 1 a late re-inject (see
-// runReplay), 4 a completion — the scalar queue's evInject/evComplete
-// tags. repAuxNone pairs with a +Inf candidate time to mark an idle
-// processor; it compares greater than every live key.
+// Replay candidate aux keys: the event kind packed above the request
+// seq, so one int64 comparison resolves the (kind, seq) tie-break. Kind
+// 0 is an injection attempt, 1 a late re-inject (see runReplay), 4 a
+// completion — the event queue's evInject/evComplete tags. repAuxNone
+// pairs with a +Inf candidate time to mark an idle processor; it
+// compares greater than every live key.
 const (
 	repAuxLate = int64(1) << 32
 	repAuxComp = int64(4) << 32
@@ -1155,9 +840,9 @@ const (
 )
 
 // pcLess orders a processor's private replay completions by (time,
-// seq) — the scalar queue's key restricted to one kind. Time alone is
+// seq) — the event queue's key restricted to one kind. Time alone is
 // not enough: when two blocked processors hold same-time head
-// completions, the smaller request seq unblocks first in the scalar
+// completions, the smaller request seq unblocks first in the event
 // engine, and the unblock order assigns the fresh re-inject seqs that
 // order the re-arrivals at the banks.
 func pcLess(a, x *compEv) bool {
@@ -1205,26 +890,27 @@ func popPC(h []compEv) []compEv {
 	return h
 }
 
-// runReplay finishes lane li alone after its first window stall: the
+// runReplay finishes a closed-loop run after its first window stall:
 // processor p's injection attempt in round r found the window full, so
-// from here on the lane's injection times leave the shared grid and the
-// lockstep walk no longer matches the scalar event order for it.
+// from here on injection times leave the grid and the round-major walk
+// no longer matches the event order. served is the number of requests
+// the walk already served (for the cancellation message).
 //
-// The replay is not the pooled scalar engine, and it keeps no global
-// event queue either. Only two scalar event kinds still carry
-// information — injection attempts (evInject) and completions
-// (evComplete) — and of those, only injects and the completions that
-// unblock a window-stalled processor have globally ordered effects.
-// Each processor therefore exposes at most one candidate: its pending
-// inject (kind 0, or 1 for a "late" re-inject, see below), or, when
-// blocked, the head of its private (time, seq) completion heap
-// (kind 4). The main loop picks the (time, kind, seq)-minimum candidate
-// with a linear scan, which reproduces the scalar queue's pop order
-// exactly: a non-unblocking completion only shrinks its own processor's
-// in-flight window, which nothing reads until that processor's next
-// injection attempt — so it is drained lazily, from the completions
-// strictly earlier than the attempt (same-instant completions pop after
-// the inject in the scalar queue, evInject < evComplete).
+// The replay is not the event engine, and it keeps no global event
+// queue either. Only two event kinds still carry information —
+// injection attempts (evInject) and completions (evComplete) — and of
+// those, only injects and the completions that unblock a window-stalled
+// processor have globally ordered effects. Each processor therefore
+// exposes at most one candidate: its pending inject (kind 0, or 1 for a
+// "late" re-inject, see below), or, when blocked, the head of its
+// private (time, seq) completion heap (kind 4). The main loop picks the
+// (time, kind, seq)-minimum candidate with a linear scan, which
+// reproduces the event queue's pop order exactly: a non-unblocking
+// completion only shrinks its own processor's in-flight window, which
+// nothing reads until that processor's next injection attempt — so it
+// is drained lazily, from the completions strictly earlier than the
+// attempt (same-instant completions pop after the inject in the event
+// queue, evInject < evComplete).
 //
 // Better still, an attempt's blocked/clear outcome is known the moment
 // its candidate is created: a processor's private heap is already
@@ -1233,46 +919,47 @@ func popPC(h []compEv) []compEv {
 // window check run at creation, and an attempt that will block never
 // becomes a loop event — its candidate is directly the head completion
 // that will clear it, with one seq burned for the inject event the
-// scalar engine still pushes. The in-flight count is the private heap's
+// event engine still pushes. The in-flight count is the private heap's
 // length (every inject pushes one completion, every drain or unblock
 // pops one), so the replay maintains no separate window counter.
 //
 // Bank arrivals need no events of their own: injects are processed in
-// time order and NetDelay is constant within the lane, so applying each
-// arrival at injection keeps every bank's service order identical to
-// the scalar queue's, and bank-done times are the service chain the
-// arenas already model. Window bookkeeping is exact: a blocked attempt
+// time order and NetDelay is constant, so applying each arrival at
+// injection keeps every bank's service order identical to the event
+// queue's, and bank-done times are the service chain the per-bank state
+// already models. Window bookkeeping is exact: a blocked attempt
 // consumes no seq, the completion that unblocks a processor consumes
 // one fresh seq for the re-inject at max(completion time, nextIssueAt),
 // and same-time completions unblock in seq order across processors —
 // observable, because each re-inject's seq orders its bank arrival
 // against simultaneous ones. A kind-1 ("late") re-inject is one
-// scheduled at its own completion's instant with NetDelay 0: the scalar
+// scheduled at its own completion's instant with NetDelay 0: the event
 // engine pushes it after the same-time bank-done events already popped
 // (evBankDone < evComplete), so its arrival must see those dequeues
 // applied — but it still fires before the remaining same-time
 // completions (evInject < evComplete), hence kind 1 sorting between 0
-// and 4. That order is scalar-exact because a late inject's seq is
-// fresher than any same-time kind-0 inject's, so the scalar's seq
-// tie-break already placed it last among them.
-func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, r, p int) error {
+// and 4. That order is exact because a late inject's seq is fresher
+// than any same-time kind-0 inject's, so the seq tie-break already
+// placed it last among them.
+func (k *kernel) runReplay(ctx context.Context, pt core.Pattern, r, p, served int) error {
 	np := len(pt.PerProc)
-	next, nia := b.rNext, b.rNIA
-	candT, candA := b.rCandT, b.rCandA
-	wb := int(b.wOff[li])
-	G := b.g[li]
-	nd := b.nd[li]
-	win := int(b.win[li])
-	t0 := b.injT[li]
+	next, nia := k.rNext, k.rNIA
+	candT, candA := k.rCandT, k.rCandA
+	G := k.g
+	nd := k.nd
+	win := int(k.win)
+	t0 := k.injT
+	probed := k.probed
+	lastDone, stall := k.lastDone, k.cStall
 	none := math.Inf(1)
 
-	// Split the lane's shared completion heap into the private per-proc
-	// (time, seq) heaps first: candidate creation below drains them.
+	// Split the shared completion heap into the private per-proc (time,
+	// seq) heaps first: candidate creation below drains them.
 	for q := 0; q < np; q++ {
-		b.rComp[q] = b.rComp[q][:0]
+		k.rComp[q] = k.rComp[q][:0]
 	}
-	for _, c := range b.comp[li] {
-		b.rComp[c.proc] = pushPC(b.rComp[c.proc], c)
+	for _, c := range k.comp {
+		k.rComp[c.proc] = pushPC(k.rComp[c.proc], c)
 	}
 
 	// Reconstruct per-processor state at the stall instant. Processors
@@ -1295,7 +982,7 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 			nq = lq
 		}
 		next[q] = int32(nq)
-		h := b.rComp[q]
+		h := k.rComp[q]
 		switch {
 		case q == p:
 			candT[q] = h[0].t
@@ -1305,13 +992,13 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 			for len(h) > 0 && h[0].t < ti {
 				h = popPC(h)
 			}
-			b.rComp[q] = h
+			k.rComp[q] = h
 			if len(h) >= win {
 				candT[q] = h[0].t
 				candA[q] = repAuxComp | int64(h[0].seq)
 			} else {
 				candT[q] = ti
-				candA[q] = int64(b.injSeq[wb+q])
+				candA[q] = int64(k.injSeq[q])
 			}
 		default:
 			candT[q] = none
@@ -1319,7 +1006,7 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 		}
 	}
 
-	seqc := b.seqCtr[li]
+	seqc := k.seqCtr
 	sincePoll := 0
 	needScan := true
 	best := -1
@@ -1328,8 +1015,8 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 	for {
 		if needScan {
 			// Linear argmin over the per-processor candidates under the
-			// scalar (time, kind, seq) key, tracking the runner-up. An
-			// idle processor's sentinel (+Inf, repAuxNone) loses every
+			// (time, kind, seq) key, tracking the runner-up. An idle
+			// processor's sentinel (+Inf, repAuxNone) loses every
 			// comparison, including against another sentinel, so an
 			// all-idle scan leaves best at -1.
 			needScan = false
@@ -1350,10 +1037,10 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 			}
 		}
 		sincePoll++
-		if sincePoll >= batchPollRequests {
+		if sincePoll >= kernelPollRequests {
 			sincePoll = 0
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: batch lane %d replay cancelled: %w", li, err)
+				return fmt.Errorf("sim: kernel replay cancelled after %d requests: %w", served, err)
 			}
 		}
 		q := best
@@ -1367,13 +1054,13 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 			next[q]++
 			nia[q] = bt + G
 			a := bt + nd
-			bank := bankOf(b.mk[li], b.mkArg[li], b.bms[li], addr)
-			done := b.serveLane(li, bank, a, addr, reqSeq, ba >= repAuxLate)
+			done := k.serveAt(bankOf(k.mk, k.mkArg, k.bm, addr), a, addr, reqSeq, ba >= repAuxLate)
+			served++
 			ct := done + nd
-			if ct > b.lastDone[li] {
-				b.lastDone[li] = ct
+			if ct > lastDone {
+				lastDone = ct
 			}
-			h := pushPC(b.rComp[q], compEv{t: ct, seq: reqSeq, proc: int32(q)})
+			h := pushPC(k.rComp[q], compEv{t: ct, seq: reqSeq, proc: int32(q)})
 			if int(next[q]) < len(addrs) {
 				// Resolve the next attempt now: the heap is complete below
 				// its time, so drain, burn the attempt's seq, and expose
@@ -1397,20 +1084,20 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 				candT[q] = none
 				candA[q] = repAuxNone
 			}
-			b.rComp[q] = h
+			k.rComp[q] = h
 		} else {
 			// Head completion of a blocked processor: unblock and
 			// schedule the re-inject with a fresh seq. It cannot block —
 			// the window just opened and only q's own injects refill it —
 			// so drain below its time and expose it directly.
 			ct := bt
-			if b.probed[li] {
+			if probed {
 				// q has been blocked since its attempt at nia[q]; the
-				// unblocks pop in the scalar engine's order, so the sum
+				// unblocks pop in the event engine's order, so the sum
 				// replays its accumulation exactly.
-				b.cStall[li] += ct - nia[q]
+				stall += ct - nia[q]
 			}
-			h := popPC(b.rComp[q])
+			h := popPC(k.rComp[q])
 			t2 := ct
 			if nia[q] > t2 {
 				t2 = nia[q]
@@ -1418,7 +1105,7 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 			for len(h) > 0 && h[0].t < t2 {
 				h = popPC(h)
 			}
-			b.rComp[q] = h
+			k.rComp[q] = h
 			var aux int64
 			if t2 == ct && nd == 0 {
 				aux = repAuxLate
@@ -1437,83 +1124,54 @@ func (b *BatchEngine) runReplay(ctx context.Context, li int32, pt core.Pattern, 
 			needScan = true
 		}
 	}
-	b.seqCtr[li] = seqc
+	k.seqCtr, k.lastDone, k.cStall = seqc, lastDone, stall
 	return nil
 }
 
-// finalize assembles every fast lane's Result from the arenas. Deferred
-// accumulations (DRAM BankBusy, Regulated ThrottleStallCycles) are
-// sorted into the scalar event order here and summed left to right, so
-// their partial-sum rounding matches the scalar engine bit for bit.
-func (b *BatchEngine) finalize(pt core.Pattern) {
+// finalize assembles the Result. Deferred accumulations (DRAM BankBusy,
+// Regulated ThrottleStallCycles) are summed in event order here.
+func (k *kernel) finalize(pt core.Pattern) {
+	res := &k.res
 	n := pt.N()
-	for _, li := range b.laneIdx {
-		res := &b.results[li]
-		res.Cycles = b.lastDone[li]
-		res.Requests = n
-		res.BankServices = n
-		res.MaxBankQueue = int(b.maxQ[li])
-		res.BankBusy = b.busyAcc[li]
-		switch b.cls[li] {
-		case lcDRAM:
-			res.RowHits = int(b.rowHitsL[li])
-			res.RowConflicts = int(b.rowConfL[li])
-			b.beSorter.s = b.busyEvs[li]
-			sort.Sort(&b.beSorter)
-			var busy float64
-			for _, e := range b.beSorter.s {
-				busy += e.v
-			}
-			res.BankBusy = busy
-			b.beSorter.s = nil
-		case lcReg:
-			res.ThrottleStalls = int(b.thrStalls[li])
-			b.beSorter.s = b.busyEvs[li]
-			sort.Sort(&b.beSorter)
-			var stall float64
-			for _, e := range b.beSorter.s {
-				stall += e.v
-			}
-			res.ThrottleStallCycles = stall
-			b.beSorter.s = nil
-		}
-		lo := int(b.off[li])
-		hi := lo + b.cfgs[li].Machine.Banks
-		for _, c := range b.serve[lo:hi] {
-			if int(c) > res.MaxBankServed {
-				res.MaxBankServed = int(c)
-			}
-		}
+	res.Cycles = k.lastDone
+	res.Requests = n
+	res.BankServices = n
+	res.MaxBankQueue = int(k.maxQ)
+	res.BankBusy = k.busyAcc
+	switch k.cls {
+	case clsDRAM:
+		res.BankBusy = sumInEventOrder(k.busyEvs)
+	case clsReg:
+		res.ThrottleStallCycles = sumInEventOrder(k.busyEvs)
+	}
+	for _, c := range k.serve {
+		res.MaxBankServed = max(res.MaxBankServed, int(c))
 	}
 }
 
-// commit hands probed lane li's Result and Counters to its RunProbe.
-// Busy time per bank is rebuilt here for the constant-service FIFO
-// class: a bank that served n requests accumulated d exactly n times in
-// the event engine, so repeating the additions replays its sum without
-// touching the hot loop. The variable-service classes accumulated it in
-// serveLane.
-func (b *BatchEngine) commit(li int32) {
-	lo := int(b.off[li])
-	hi := lo + b.cfgs[li].Machine.Banks
-	if b.cls[li] == lcFIFO {
-		d := b.d[li]
-		for i, n := range b.serve[lo:hi] {
+// commit hands the Result and Counters to the run's probe. Busy time per
+// bank is rebuilt here for the constant-service FIFO class: a bank that
+// served n requests accumulated d exactly n times in the event engine,
+// so repeating the additions replays its sum without touching the hot
+// loop. The variable-service classes accumulated it in serveAt.
+func (k *kernel) commit() {
+	if k.cls == clsFIFO {
+		for i, n := range k.serve {
 			busy := 0.0
 			for ; n > 0; n-- {
-				busy += d
+				busy += k.d
 			}
-			b.cBusy[lo+i] = busy
+			k.cBusy[i] = busy
 		}
 	}
-	b.cnt = Counters{
-		Services:     b.serve[lo:hi],
-		Busy:         b.cBusy[lo:hi],
-		Wait:         b.cWait[lo:hi],
-		MaxDepth:     b.cDepth[lo:hi],
-		QueuedStarts: int(b.cQueued[li]),
-		WindowStall:  b.cStall[li],
+	k.cnt = Counters{
+		Services:     k.serve,
+		Busy:         k.cBusy,
+		Wait:         k.cWait,
+		MaxDepth:     k.cDepth,
+		QueuedStarts: int(k.cQueued),
+		WindowStall:  k.cStall,
 	}
-	b.rps[li].RunDone(b.results[li], &b.cnt)
-	b.rps[li] = nil
+	k.rp.RunDone(k.res, &k.cnt)
+	k.rp = nil
 }

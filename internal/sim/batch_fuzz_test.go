@@ -8,20 +8,23 @@ import (
 	"dxbsp/internal/rng"
 )
 
-// FuzzBatchVsScalar is the batch engine's differential property test:
-// for a randomized lane count, per-lane machine shapes (d, x, g,
-// NetDelay), per-lane bank disciplines and ragged per-lane issue
-// windows, every lane of one batch run must equal — field for field —
-// the scalar engine run of that lane alone. This covers the whole
-// lockstep regime (open- and closed-loop FIFO, ungrouped single-row
-// DRAM, Regulated — including lanes that window-stall into the per-lane
-// replay) and the embedded scalar fallback (grouped or multi-row DRAM,
-// GPUShared, row-buffered FIFO) in the same batch, over the same
-// address-pattern shapes FuzzSimVsReference draws.
+// FuzzBatchVsScalar is the kernel's differential property test: for a
+// randomized config count, per-config machine shapes (d, x, g,
+// NetDelay), bank disciplines and ragged issue windows, every result of
+// one RunBatch must equal — field for field — the event engine run of
+// that config alone. This covers the whole kernel regime (open- and
+// closed-loop FIFO, ungrouped single-row DRAM, Regulated — including
+// configs that window-stall into the replay) and the event-engine
+// fallback (grouped or multi-row DRAM, GPUShared, row-buffered FIFO),
+// over the same address-pattern shapes FuzzSimVsReference draws. Times
+// come from fuzzTime, so G, D, NetDelay, the DRAM delays and RegWindow
+// are non-integer half the time (rounded sums make the accumulation
+// order observable), and a quarter of the configs have zero NetDelay
+// (the replay's late re-injects).
 //
 // Under `go test` the seed corpus runs as a regression suite; under
 // `go test -fuzz FuzzBatchVsScalar ./internal/sim/` the mutator explores
-// the (K, p, lane params, discipline mix, window mix, pattern) space.
+// the (K, p, config params, discipline mix, window mix, pattern) space.
 func FuzzBatchVsScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(3), uint16(200), uint8(0))
 	f.Add(uint64(2), uint8(4), uint8(0), uint16(64), uint8(1))
@@ -44,19 +47,22 @@ func FuzzBatchVsScalar(f *testing.F) {
 		cfgs := make([]Config, k)
 		for i := range cfgs {
 			banks := p * (rg.Intn(16) + 1)
-			d := float64(rg.Intn(12) + 1)
-			g := float64(rg.Intn(4) + 1)
-			nd := float64(rg.Intn(16))
+			d := fuzzTime(rg, 1, 12)
+			g := fuzzTime(rg, 1, 4)
+			nd := 0.0
+			if rg.Intn(4) > 0 {
+				nd = fuzzTime(rg, 0, 16)
+			}
 			var bank BankConfig
 			switch rg.Intn(7) {
-			case 0, 1: // the paper's FIFO bank — the lockstep fast path
-			case 2: // FIFO with row buffers: scalar fallback
+			case 0, 1: // the paper's FIFO bank — the kernel's plain loop
+			case 2: // FIFO with row buffers: event-engine fallback
 				bank = BankConfig{
 					CacheLines: 1 + rg.Intn(4),
-					HitDelay:   float64(1 + rg.Intn(3)),
+					HitDelay:   fuzzTime(rg, 1, 3),
 					RowWords:   1 << rg.Intn(7),
 				}
-			case 3: // row-buffer DRAM with bank groups: scalar fallback
+			case 3: // row-buffer DRAM with bank groups: event-engine fallback
 				groups := 1 + rg.Intn(4)
 				if groups > banks {
 					groups = banks
@@ -64,35 +70,35 @@ func FuzzBatchVsScalar(f *testing.F) {
 				bank = BankConfig{
 					Discipline: DRAM,
 					CacheLines: 1 + rg.Intn(2),
-					HitDelay:   float64(1 + rg.Intn(3)),
-					MissDelay:  float64(1 + rg.Intn(16)),
+					HitDelay:   fuzzTime(rg, 1, 3),
+					MissDelay:  fuzzTime(rg, 1, 16),
 					RowWords:   1 << rg.Intn(7),
 					Groups:     groups,
-					GroupGap:   float64(rg.Intn(3)),
+					GroupGap:   fuzzTime(rg, 0, 3),
 				}
-			case 4: // ungrouped single-row DRAM: the lockstep DRAM class
+			case 4: // ungrouped single-row DRAM: the kernel's DRAM class
 				bank = BankConfig{
 					Discipline: DRAM,
 					CacheLines: rg.Intn(2), // 0 defaults to 1: both spellings eligible
-					HitDelay:   float64(1 + rg.Intn(3)),
-					MissDelay:  float64(1 + rg.Intn(16)),
+					HitDelay:   fuzzTime(rg, 1, 3),
+					MissDelay:  fuzzTime(rg, 1, 16),
 					RowWords:   1 << rg.Intn(7),
 				}
-			case 5: // bandwidth-regulated banks: the lockstep Regulated class
+			case 5: // bandwidth-regulated banks: the kernel's Regulated class
 				bank = BankConfig{
 					Discipline: Regulated,
-					RegWindow:  float64(1 + rg.Intn(32)),
+					RegWindow:  fuzzTime(rg, 1, 32),
 					RegBudget:  1 + rg.Intn(4),
 				}
-			case 6: // GPU shared memory: scalar fallback
+			case 6: // GPU shared memory: event-engine fallback
 				bank = BankConfig{Discipline: GPUShared, WarpSize: 1 + rg.Intn(32)}
 				if nd < 1 {
 					nd = 1
 				}
 			}
-			// Ragged issue windows: roughly two thirds of the non-GPU lanes
-			// run closed-loop, each with its own window — tight windows
-			// stall into the per-lane replay almost immediately.
+			// Ragged issue windows: roughly two thirds of the non-GPU
+			// configs run closed-loop, each with its own window — tight
+			// windows stall into the replay almost immediately.
 			window := 0
 			if bank.Discipline != GPUShared && rg.Intn(3) > 0 {
 				window = 1 + rg.Intn(12)
@@ -131,12 +137,12 @@ func FuzzBatchVsScalar(f *testing.F) {
 		for i, cfg := range cfgs {
 			want, err := runEvent(cfg, pt)
 			if err != nil {
-				t.Fatalf("lane %d scalar: %v", i, err)
+				t.Fatalf("config %d event engine: %v", i, err)
 			}
 			if got[i] != want {
-				t.Errorf("lane %d/%d (disc=%s banks=%d d=%g g=%g nd=%g fast=%t): batch %+v != scalar %+v",
+				t.Errorf("config %d/%d (disc=%s banks=%d d=%g g=%g nd=%g window=%d kernel=%t): kernel %+v != event %+v",
 					i, k, cfg.Bank.Discipline, cfg.Machine.Banks, cfg.Machine.D, cfg.Machine.G,
-					cfg.NetDelay, BatchEligible(cfg), got[i], want)
+					cfg.NetDelay, cfg.Window, BatchEligible(cfg), got[i], want)
 			}
 		}
 	})

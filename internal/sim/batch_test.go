@@ -57,8 +57,8 @@ func batchGoldenPattern() core.Pattern {
 }
 
 // TestBatchMatchesScalarGolden128 is the golden differential: one
-// 128-lane batch across all four disciplines, every lane compared
-// field-for-field against the scalar engine run alone.
+// 128-config RunBatch across all four disciplines, every result compared
+// field-for-field against the event engine run alone.
 func TestBatchMatchesScalarGolden128(t *testing.T) {
 	cfgs := batchGoldenConfigs()
 	if len(cfgs) != 128 {
@@ -178,8 +178,7 @@ func TestBatchLaneIsolation(t *testing.T) {
 	}
 }
 
-// TestBatchCancellation pins that a cancelled context interrupts a batch
-// mid-flight through the lockstep poll.
+// TestBatchCancellation pins that a cancelled context fails a batch.
 func TestBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -192,11 +191,13 @@ func TestBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestBatchEngineReuseZeroAllocs pins the pooling contract: once an
-// engine has seen a shape, re-running batches — including shrinking the
-// lane count, growing it back, and lanes whose disciplines force the
-// embedded scalar engine through per-lane discipline changes — allocates
-// nothing.
+// TestBatchEngineReuseZeroAllocs pins the pooling contract: once the
+// pooled kernel and event engine have seen every shape, running configs
+// one at a time through Run — bank counts shrinking and growing back,
+// disciplines cycling FIFO→DRAM→Regulated→GPU (GPU on the event engine),
+// and tight FIFO, DRAM and Regulated windows that stall into the replay
+// — allocates nothing. The windowed configs pin the closed-loop arenas
+// (completion heaps, dequeue rings, replay scratch) as retained too.
 func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -216,14 +217,8 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 		c.Window = window
 		return c
 	}
-	// Three shapes cycled per run: full mixed batch, a shrunk all-FIFO
-	// prefix, and the full batch again (grow). Lane slots keep a stable
-	// discipline so the per-slot default-map caches stay warm, while the
-	// embedded scalar engine flips FIFO→DRAM→Regulated→GPU within every
-	// full batch — the discipline-change Reset path. The windowed lanes
-	// (tight FIFO and DRAM windows that stall into the per-lane replay,
-	// a windowed Regulated lane) pin the closed-loop arenas — completion
-	// heaps, dequeue rings, replay scratch — as retained too.
+	// Three shapes cycled per pass: the full config list, a shrunk
+	// all-FIFO prefix, and the full list again (grow).
 	full := []Config{
 		mk(16, 2, BankConfig{}),
 		mk(32, 6, BankConfig{}),
@@ -233,17 +228,19 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 		mk(16, 4, BankConfig{Discipline: Regulated, RegWindow: 16, RegBudget: 2}),
 		mk(16, 4, BankConfig{Discipline: GPUShared, WarpSize: 8}),
 		mk(128, 6, BankConfig{}),
+		mk(512, 6, BankConfig{}), // >= 256 banks: boxing the default map would allocate
+		mk(1024, 14, BankConfig{}),
 		mkw(16, 6, 2, BankConfig{}),
 		mkw(8, 12, 1, BankConfig{Discipline: DRAM, CacheLines: 1, HitDelay: 1, MissDelay: 12}),
 		mkw(16, 4, 3, BankConfig{Discipline: Regulated, RegWindow: 16, RegBudget: 2}),
 	}
 	shrunk := full[:4]
 
-	b := NewBatchEngine()
-	ctx := context.Background()
 	run := func(cfgs []Config) {
-		if _, err := b.Run(ctx, cfgs, pt); err != nil {
-			t.Fatalf("Run: %v", err)
+		for _, cfg := range cfgs {
+			if _, err := Run(cfg, pt); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
 		}
 	}
 	run(full) // warm every arena
@@ -256,7 +253,7 @@ func TestBatchEngineReuseZeroAllocs(t *testing.T) {
 		run(full)
 	})
 	if allocs != 0 {
-		t.Errorf("warm batch cycle allocated %.1f times, want 0", allocs)
+		t.Errorf("warm config cycle allocated %.1f times, want 0", allocs)
 	}
 }
 

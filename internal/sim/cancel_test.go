@@ -92,22 +92,26 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// A windowed run on the kernel detaches into the per-lane replay at its
-// first window stall; cancelling after the entry check must interrupt
-// the replay mid-flight and surface context.Canceled.
+// A windowed run on the kernel hands over to the replay at its first
+// window stall; cancelling after the entry check must interrupt the
+// replay mid-flight and surface context.Canceled, with a message that
+// names the kernel and counts requests.
 func TestRunContextCancelledInReplay(t *testing.T) {
 	cfg := Config{Machine: core.Machine{Name: "w", Procs: 4, Banks: 16, D: 6, G: 1, L: 8}, Window: 1}
 	if !BatchEligible(cfg) {
 		t.Fatal("windowed FIFO config is not kernel-eligible")
 	}
-	pt := core.NewPattern(seqAddrs(8*batchPollRequests), 4)
+	pt := core.NewPattern(seqAddrs(8*kernelPollRequests), 4)
 	ctx := &pollCtx{Context: context.Background(), n: 1}
 	_, err := RunContext(ctx, cfg, pt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
-	if !strings.Contains(err.Error(), "replay") {
+	if !strings.Contains(err.Error(), "sim: kernel replay cancelled after") {
 		t.Errorf("error %q did not come from the replay's poll", err)
+	}
+	if strings.Contains(err.Error(), "lane") {
+		t.Errorf("error %q carries a lane index", err)
 	}
 
 	// With polls to spare the same run completes and matches the event

@@ -22,9 +22,9 @@ func TestNormalizeAppliesDefaults(t *testing.T) {
 	if c.Bank.HitDelay != 0 || c.Bank.RowWords != 0 {
 		t.Errorf("cache knobs defaulted while caching off: %+v", c)
 	}
-	// The deprecated HS93 fields fold into the Bank sub-config, with the
-	// same defaults the old fields had (hit delay 1, 32-word rows).
-	cc := Config{Machine: m, BankCacheLines: 2}.Normalize()
+	// Turning row buffers on fills in their defaults (hit delay 1,
+	// 32-word rows).
+	cc := Config{Machine: m, Bank: BankConfig{CacheLines: 2}}.Normalize()
 	if cc.Bank.CacheLines != 2 || cc.Bank.HitDelay != 1 || cc.Bank.RowWords != 32 {
 		t.Errorf("cache defaults = %+v, want lines 2, hit 1, rows 32", cc.Bank)
 	}
@@ -32,21 +32,15 @@ func TestNormalizeAppliesDefaults(t *testing.T) {
 
 func TestNormalizeKeepsExplicitValues(t *testing.T) {
 	m := core.Machine{Name: "n", Procs: 4, Banks: 32, D: 4, G: 1, L: 10}
-	c := Config{Machine: m, NetDelay: 3, BankCacheLines: 2, BankHitDelay: 2, BankRowShift: 8}.Normalize()
+	c := Config{Machine: m, NetDelay: 3, Bank: BankConfig{CacheLines: 2, HitDelay: 2, RowWords: 1 << 8}}.Normalize()
 	if c.NetDelay != 3 || c.Bank.HitDelay != 2 || c.Bank.RowWords != 1<<8 {
 		t.Errorf("Normalize overwrote explicit values: %+v", c)
-	}
-	// An explicit Bank sub-config wins over the deprecated fields.
-	d := Config{Machine: m, BankCacheLines: 4, BankHitDelay: 3,
-		Bank: BankConfig{CacheLines: 1, HitDelay: 2, RowWords: 1}}.Normalize()
-	if d.Bank.CacheLines != 1 || d.Bank.HitDelay != 2 || d.Bank.RowWords != 1 {
-		t.Errorf("deprecated fields overrode the Bank sub-config: %+v", d.Bank)
 	}
 }
 
 func TestNormalizeIdempotent(t *testing.T) {
 	m := core.Machine{Name: "n", Procs: 4, Banks: 32, D: 4, G: 1, L: 10}
-	once := Config{Machine: m, BankCacheLines: 1}.Normalize()
+	once := Config{Machine: m, Bank: BankConfig{CacheLines: 1}}.Normalize()
 	if twice := once.Normalize(); twice != once {
 		t.Errorf("Normalize not idempotent:\nonce:  %+v\ntwice: %+v", once, twice)
 	}
@@ -61,9 +55,9 @@ func TestValidateRejectsBadKnobs(t *testing.T) {
 	}{
 		{"negative window", Config{Machine: m, Window: -1}, "Window"},
 		{"negative net delay", Config{Machine: m, NetDelay: -2}, "NetDelay"},
-		{"negative cache lines", Config{Machine: m, BankCacheLines: -1}, "BankCacheLines"},
-		{"negative hit delay", Config{Machine: m, BankCacheLines: 1, BankHitDelay: -1}, "BankHitDelay"},
-		{"huge row shift", Config{Machine: m, BankCacheLines: 1, BankRowShift: 64}, "BankRowShift"},
+		{"negative cache lines", Config{Machine: m, Bank: BankConfig{CacheLines: -1}}, "Bank.CacheLines"},
+		{"negative hit delay", Config{Machine: m, Bank: BankConfig{CacheLines: 1, HitDelay: -1}}, "Bank.HitDelay"},
+		{"bad row words", Config{Machine: m, Bank: BankConfig{CacheLines: 1, RowWords: 3}}, "Bank.RowWords"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -52,9 +52,9 @@
 // between each. Both are thin wrappers over their context variants
 // (RunContext, RunSuperstepsContext), which add cooperative cancellation.
 // RunContext answers every BatchEligible configuration on the closed-form
-// kernel (BatchEngine at one lane) and the rest on the event engine, with
-// byte-identical results either way. Both execute on pooled engines, so
-// steady-state runs allocate nothing.
+// kernel and the rest on the event engine, with byte-identical results
+// either way. Both execute on pooled engines, so steady-state runs
+// allocate nothing.
 //
 // # Observation
 //
@@ -70,6 +70,6 @@
 // with per-worker engines — can hold an event Engine directly: NewEngine
 // for an unpooled instance, or AcquireEngine/ReleaseEngine to borrow from
 // the package pool. An Engine always runs the event engine, which makes it
-// the kernel's oracle in tests. RunBatch runs several configurations over
-// one pattern in a single lockstep pass.
+// the kernel's oracle in tests. RunBatch validates several configurations
+// over one pattern up front, then runs each through RunContext.
 package sim

@@ -26,29 +26,39 @@ type Engine struct {
 	def defaultMap
 }
 
-// defaultMap caches the boxed default BankMap (interleave, or the GPU
+// defaultMap caches the boxed default BankMaps (interleave, or the GPU
 // word-interleaved map under the GPUShared discipline) so repeated runs
-// of a BankMap-less config do not re-box it into the interface every
-// reset (one allocation per run otherwise). Engine-owned and stateless,
+// of a BankMap-less config do not re-box one into the interface every
+// reset (one allocation per run for 256 banks or more otherwise). It
+// keeps the last len(slots) shapes, so a pooled engine cycling through
+// a sweep's bank axis finds each map again. Engine-owned and stateless,
 // so it survives release and pins nothing.
 type defaultMap struct {
-	m     core.BankMap
-	banks int
-	gpu   bool
+	slots [8]struct {
+		m     core.BankMap
+		banks int
+		gpu   bool
+	}
+	next int // slot the next new shape replaces
 }
 
 func (d *defaultMap) of(cfg Config) core.BankMap {
 	gpu := cfg.Bank.Discipline == GPUShared
-	if d.m == nil || d.banks != cfg.Machine.Banks || d.gpu != gpu {
-		if gpu {
-			d.m = core.GPUSharedMap{Banks: cfg.Machine.Banks}
-		} else {
-			d.m = core.InterleaveMap{Banks: cfg.Machine.Banks}
+	for i := range d.slots {
+		if s := &d.slots[i]; s.m != nil && s.banks == cfg.Machine.Banks && s.gpu == gpu {
+			return s.m
 		}
-		d.banks = cfg.Machine.Banks
-		d.gpu = gpu
 	}
-	return d.m
+	s := &d.slots[d.next]
+	d.next = (d.next + 1) % len(d.slots)
+	if gpu {
+		s.m = core.GPUSharedMap{Banks: cfg.Machine.Banks}
+	} else {
+		s.m = core.InterleaveMap{Banks: cfg.Machine.Banks}
+	}
+	s.banks = cfg.Machine.Banks
+	s.gpu = gpu
+	return s.m
 }
 
 // prepare is the admission check every engine runs before a simulation:
@@ -290,8 +300,6 @@ func (e *engine) armCounters(banks, nSections int) {
 	c.Busy = growSlice(c.Busy, banks)
 	c.Wait = growSlice(c.Wait, banks)
 	c.MaxDepth = growSlice(c.MaxDepth, banks)
-	clear(c.Busy)
-	clear(c.Wait)
 	c.QueuedStarts, c.Combined, c.SectionWait, c.WindowStall = 0, 0, 0, 0
 	e.bankArr = growRetained(e.bankArr, banks)
 	e.sectArr = growRetained(e.sectArr, nSections)

@@ -91,7 +91,7 @@ func ExampleConfig_bankCache() {
 	m := core.J90()
 	pt := core.NewPattern(patterns.AllSame(1024, 0), m.Procs)
 	plain, _ := sim.Run(sim.Config{Machine: m}, pt)
-	cached, _ := sim.Run(sim.Config{Machine: m, BankCacheLines: 4}, pt)
+	cached, _ := sim.Run(sim.Config{Machine: m, Bank: sim.BankConfig{CacheLines: 4}}, pt)
 	fmt.Printf("row hits: %d, speedup ≈ %.0fx\n",
 		cached.RowHits, plain.Cycles/cached.Cycles)
 	// Output:

@@ -36,31 +36,6 @@ type Config struct {
 	// zero value is the paper's FIFO bank. See BankConfig.
 	Bank BankConfig
 
-	// BankCacheLines enables the cached-DRAM bank organization studied by
-	// Hsu and Smith [HS93] (and available on the Tera), which the paper
-	// cites as a refinement the (d,x)-BSP omits: each bank keeps an LRU
-	// buffer of the most recent BankCacheLines rows; an access that hits a
-	// buffered row is serviced in BankHitDelay cycles instead of d.
-	// 0 disables caching (the paper's machines).
-	//
-	// Deprecated: set Bank.CacheLines. Normalize folds this field into
-	// the Bank sub-config (it is ignored when Bank already configures row
-	// buffers), so existing callers and cache fingerprints are unchanged.
-	BankCacheLines int
-
-	// BankHitDelay is the service time of a row-buffer hit. Defaults to 1.
-	//
-	// Deprecated: set Bank.HitDelay; see BankCacheLines.
-	BankHitDelay float64
-
-	// BankRowShift is log2 of the row size in words: addresses sharing
-	// addr>>BankRowShift are in the same row. Defaults to 5 (32 words).
-	//
-	// Deprecated: set Bank.RowWords, whose explicit set/unset encoding
-	// (0 = default) also makes the 1-word row this field could not
-	// express representable; see BankCacheLines.
-	BankRowShift uint
-
 	// Probe, when non-nil, receives the run's Result and aggregate
 	// Counters when it completes (see Probe). It is results-neutral by
 	// contract — attaching a probe never changes Result or the engine
@@ -84,9 +59,8 @@ func (e *ConfigError) Error() string {
 
 // Normalize returns a copy of c with the documented defaults applied in one
 // place: a BankMap over Machine.Banks (interleaved, or GPU word-interleaved
-// under the GPUShared discipline), NetDelay = Machine.L/2, the deprecated
-// BankCacheLines/BankHitDelay/BankRowShift fields folded into the Bank
-// sub-config, and the per-discipline Bank defaults (see BankConfig).
+// under the GPUShared discipline), NetDelay = Machine.L/2, and the
+// per-discipline Bank defaults (see BankConfig).
 // Run normalizes internally; callers that fingerprint or compare configs
 // (the runner's memo cache) call Normalize so that a default-valued config
 // and an explicitly-defaulted one are identical.
@@ -100,18 +74,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.NetDelay == 0 {
 		c.NetDelay = c.Machine.L / 2
-	}
-	// Fold the deprecated HS93 fields into the sub-config. The fold fires
-	// only when the sub-config does not already configure row buffers, so
-	// normalizing twice is the identity and an explicit Bank setting wins.
-	if c.Bank.Discipline == FIFO && c.Bank.CacheLines == 0 && c.BankCacheLines > 0 {
-		c.Bank.CacheLines = c.BankCacheLines
-		if c.Bank.HitDelay == 0 {
-			c.Bank.HitDelay = c.BankHitDelay
-		}
-		if c.Bank.RowWords == 0 && c.BankRowShift > 0 && c.BankRowShift < 64 {
-			c.Bank.RowWords = 1 << c.BankRowShift
-		}
 	}
 	c.Bank = c.Bank.normalize(c.Machine)
 	return c
@@ -127,12 +89,6 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "Window", Reason: fmt.Sprintf("must be >= 0 (0 = open loop), got %d", c.Window)}
 	case c.NetDelay < 0:
 		return &ConfigError{Field: "NetDelay", Reason: fmt.Sprintf("must be >= 0, got %g", c.NetDelay)}
-	case c.BankCacheLines < 0:
-		return &ConfigError{Field: "BankCacheLines", Reason: fmt.Sprintf("must be >= 0 (0 = uncached), got %d", c.BankCacheLines)}
-	case c.BankCacheLines > 0 && c.BankHitDelay < 0:
-		return &ConfigError{Field: "BankHitDelay", Reason: fmt.Sprintf("must be >= 0, got %g", c.BankHitDelay)}
-	case c.BankCacheLines > 0 && c.BankRowShift >= 64:
-		return &ConfigError{Field: "BankRowShift", Reason: fmt.Sprintf("must be < 64, got %d", c.BankRowShift)}
 	}
 	if err := c.validateBank(); err != nil {
 		return err
@@ -397,25 +353,26 @@ func ReleaseEngine(e *Engine) {
 }
 
 // RunContext is Run with cooperative cancellation. It answers every
-// BatchEligible config on the closed-form kernel (a pooled BatchEngine at
-// K=1) and every other config — GPU shared memory, bank groups,
-// multi-row DRAM, row caches, combining, sections, EventProbes — on a pooled
-// event Engine. Both give byte-identical Results (the golden grid and
+// BatchEligible config on the closed-form kernel and every other config —
+// GPU shared memory, bank groups, multi-row DRAM, row caches, combining,
+// sections, EventProbes — on the event engine, each drawn from a package
+// pool. Both give byte-identical Results (the golden grid and
 // FuzzBatchVsScalar pin it), so the dispatch is invisible to callers.
 //
 // Both paths poll ctx while they run (the event loop every
-// cancelCheckEvents events, the kernel every batchPollRequests
-// lane-requests), so timeouts, retries and chaos cancellation interrupt
-// a simulation mid-flight; the kernel also fails a run whose ctx is
+// cancelCheckEvents events, the kernel every kernelPollRequests
+// requests), so timeouts, retries and chaos cancellation interrupt a
+// simulation mid-flight; the kernel also fails a run whose ctx is
 // already done. Polling reads no simulation state, so an uncancelled
 // RunContext is byte-identical to Run. Pooled engines re-arm all their
 // retained state at reset, so reuse is invisible and a warm run
 // allocates nothing (TestProbesOffAllocBudget, TestRunKernelZeroAllocs).
 func RunContext(ctx context.Context, cfg Config, pt core.Pattern) (Result, error) {
 	if BatchEligible(cfg) {
-		b := AcquireBatchEngine()
-		res, err := b.runOne(ctx, cfg, pt)
-		ReleaseBatchEngine(b)
+		k := kernelPool.Get().(*kernel)
+		res, err := k.run(ctx, cfg, pt)
+		k.release()
+		kernelPool.Put(k)
 		return res, err
 	}
 	e := AcquireEngine()

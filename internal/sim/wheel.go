@@ -11,10 +11,11 @@ import (
 // The structural fact it exploits: every event the engine schedules lands
 // within a fixed horizon of the event being dispatched — an injection is
 // G ahead, a network hop NetDelay, a section slot SectionGap, a bank
-// completion at most max(D, BankHitDelay) + NetDelay (service plus the
-// response transit pushed from the service start). schedHorizon sums
-// these, so with buckets of width w covering more than horizon/w + slack
-// buckets, the pending ticks (tick = floor(time/w)) always span fewer
+// completion at most the longest service (D, or the discipline's hit or
+// miss delay) plus any start deferral and NetDelay (the response transit
+// pushed from the service start). schedHorizon sums these, so with
+// buckets of width w covering more than horizon/w + slack buckets, the
+// pending ticks (tick = floor(time/w)) always span fewer
 // than len(buckets)-1 values and every bucket holds events of exactly one
 // tick. Push and pop are then O(1) amortized: push appends to
 // buckets[tick%nb], pop scans the cursor bucket for the (time, kind, seq)

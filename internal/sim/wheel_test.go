@@ -51,15 +51,14 @@ func TestWheelVsHeapDifferential(t *testing.T) {
 			Combining:   g.Intn(4) == 0,
 		}
 		if g.Intn(4) == 0 {
-			cfg.BankCacheLines = 1 + g.Intn(4)
-			cfg.BankHitDelay = float64(1+g.Intn(4)) / 2
+			cfg.Bank.CacheLines = 1 + g.Intn(4)
+			cfg.Bank.HitDelay = float64(1+g.Intn(4)) / 2
 		}
 		// Half the configs swap in a non-FIFO discipline; the draws respect
-		// Validate's per-discipline knob rules (no legacy cache fields, and
-		// GPUShared forbids windows, combining and sections).
+		// Validate's per-discipline knob rules (GPUShared forbids windows,
+		// combining and sections).
 		switch g.Intn(8) {
 		case 0, 1:
-			cfg.BankCacheLines, cfg.BankHitDelay = 0, 0
 			cfg.Bank = BankConfig{
 				Discipline: DRAM,
 				CacheLines: 1 + g.Intn(3),
@@ -72,7 +71,6 @@ func TestWheelVsHeapDifferential(t *testing.T) {
 				cfg.Bank.GroupGap = float64(1+g.Intn(8)) / 4
 			}
 		case 2, 3:
-			cfg.BankCacheLines, cfg.BankHitDelay = 0, 0
 			cfg.Bank = BankConfig{
 				Discipline: Regulated,
 				RegWindow:  float64(1+g.Intn(64)) / 4,
@@ -81,7 +79,6 @@ func TestWheelVsHeapDifferential(t *testing.T) {
 		case 4, 5:
 			cfg.Machine.Sections, cfg.Machine.SectionGap = 0, 0
 			cfg.Window, cfg.Combining, cfg.UseSections = 0, false, false
-			cfg.BankCacheLines, cfg.BankHitDelay = 0, 0
 			cfg.Bank = BankConfig{Discipline: GPUShared, WarpSize: 1 + g.Intn(32)}
 		}
 		n := 1 << (6 + g.Intn(6))
@@ -236,7 +233,7 @@ func TestEngineReuseAcrossShapes(t *testing.T) {
 		{Machine: core.Machine{Procs: 8, Banks: 64, D: 6, G: 1, L: 8}},
 		{Machine: core.Machine{Procs: 2, Banks: 8, D: 3, G: 1, L: 0}, Window: 4},
 		{Machine: core.Machine{Procs: 16, Banks: 256, D: 14, G: 1, L: 16, Sections: 8, SectionGap: 0.5}, UseSections: true},
-		{Machine: core.Machine{Procs: 4, Banks: 32, D: 6, G: 2, L: 4}, BankCacheLines: 2},
+		{Machine: core.Machine{Procs: 4, Banks: 32, D: 6, G: 2, L: 4}, Bank: BankConfig{CacheLines: 2}},
 		{Machine: core.Machine{Procs: 8, Banks: 64, D: 6, G: 1, L: 8}}, // back to the first shape, caching now off
 	}
 	for round := 0; round < 3; round++ {
