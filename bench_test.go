@@ -307,6 +307,45 @@ func BenchmarkProfile64K(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileDense64K profiles the vector-shaped case: 64K gather
+// addresses inside one 64K-element Vec, a span narrow enough for the
+// dense location counter (BenchmarkProfile64K's 2^30 span is sorted).
+func BenchmarkProfileDense64K(b *testing.B) {
+	m := core.J90()
+	const n, base = 1 << 16, 3 << 20
+	addrs := patterns.Uniform(n, n, rng.New(3))
+	for i := range addrs {
+		addrs[i] += base
+	}
+	bm := core.InterleaveMap{Banks: m.Banks}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		profileSink = core.ComputeProfileStream(addrs, m.Procs, bm)
+	}
+}
+
+// profileSink keeps the profile benches' results live.
+var profileSink core.Profile
+
+// BenchmarkGatherAnalytic64K times one whole Analytic-mode irregular
+// superstep: a 64K-element gather on a J90 vector.Machine, address
+// building, profile and charge included.
+func BenchmarkGatherAnalytic64K(b *testing.B) {
+	const n = 1 << 16
+	vm := vector.New(core.J90())
+	src, dst := vm.Alloc(n), vm.Alloc(n)
+	idx := vm.Alloc(n)
+	for i, a := range patterns.Uniform(n, n, rng.New(5)) {
+		idx.Data[i] = int64(a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vm.Gather(dst, src, idx)
+	}
+}
+
 func BenchmarkHashLinearBulk(b *testing.B)    { benchHashBulk(b, hashfn.NewLinear(9, rng.New(1))) }
 func BenchmarkHashQuadraticBulk(b *testing.B) { benchHashBulk(b, hashfn.NewQuadratic(9, rng.New(1))) }
 func BenchmarkHashCubicBulk(b *testing.B)     { benchHashBulk(b, hashfn.NewCubic(9, rng.New(1))) }

@@ -129,7 +129,7 @@ func SpMV(vm *vector.Machine, a *CSR, x []int64) SpMVResult {
 	for i, c := range a.ColIdx {
 		addrs[i] = xv.Base + uint64(c)
 	}
-	prof := core.ComputeProfileCompact(core.NewPattern(addrs, mach.Procs), core.InterleaveMap{Banks: mach.Banks})
+	prof := core.ComputeProfileStream(addrs, mach.Procs, core.InterleaveMap{Banks: mach.Banks})
 	res := SpMVResult{
 		GatherContention: prof.MaxLoc,
 		PredictedBSP:     mach.PredictBSP(prof),

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // BankMap maps memory addresses (word indices) to memory banks. The
@@ -150,10 +152,10 @@ type Profile struct {
 }
 
 // sortAddrs sorts addresses ascending. Large inputs use an LSD radix
-// sort — profiling is O(n) end to end, and address streams usually span
-// far fewer than 64 significant bits, so constant high bytes make most
-// of the 8 passes free.
-func sortAddrs(xs []uint64) {
+// sort into dst (len(dst) >= len(xs)) — profiling is O(n) end to end, and
+// address streams usually span far fewer than 64 significant bits, so
+// constant high bytes make most of the 8 passes free.
+func sortAddrs(xs, dst []uint64) {
 	const radixCutover = 256
 	if len(xs) < radixCutover {
 		slices.Sort(xs)
@@ -166,7 +168,7 @@ func sortAddrs(xs []uint64) {
 		}
 	}
 	n := len(xs)
-	src, dst := xs, make([]uint64, n)
+	src, dst := xs, dst[:n]
 	for b := uint(0); b < 8; b++ {
 		c := &counts[b]
 		// A byte position where every address shares one value sorts to
@@ -203,58 +205,174 @@ func ComputeProfileCompact(pt Pattern, bm BankMap) Profile {
 	return computeProfile(pt, bm, false)
 }
 
+// ComputeProfileStream returns ComputeProfileCompact(NewPattern(addrs, p),
+// bm) without building the pattern: round-robin issue gives the busiest
+// processor ceil(n/p) requests, and every other field depends only on the
+// multiset of addresses. It panics if p <= 0, as NewPattern does.
+func ComputeProfileStream(addrs []uint64, p int, bm BankMap) Profile {
+	if p <= 0 {
+		panic(fmt.Sprintf("core: ComputeProfileStream with p=%d", p))
+	}
+	n := len(addrs)
+	return profileStreams([][]uint64{addrs}, n, p, (n+p-1)/p, bm, false)
+}
+
 func computeProfile(pt Pattern, bm BankMap, keep bool) Profile {
-	banks := bm.NumBanks()
-	prof := Profile{
-		N:     pt.N(),
-		Procs: pt.Procs(),
-		Banks: banks,
-	}
-	bankLoad := make([]int, banks)
-	addrs := make([]uint64, 0, prof.N)
+	maxH := 0
 	for _, per := range pt.PerProc {
-		if len(per) > prof.MaxH {
-			prof.MaxH = len(per)
-		}
-		for _, a := range per {
-			bankLoad[bm.Bank(a)]++
-		}
-		addrs = append(addrs, per...)
+		maxH = max(maxH, len(per))
 	}
-	for _, k := range bankLoad {
-		if k > prof.MaxK {
-			prof.MaxK = k
+	return profileStreams(pt.PerProc, pt.N(), pt.Procs(), maxH, bm, keep)
+}
+
+// denseSpanFactor sets the location-counting cut-over: addresses spanning
+// fewer than denseSpanFactor·n words are counted in a dense array indexed
+// by address − lo, wider streams are sorted. Every gather or scatter of a
+// vector at most 4× its index stream's length lands on the dense side.
+const denseSpanFactor = 4
+
+// useDense reports whether n addresses in [lo, hi] take the dense
+// counter. hi − lo never overflows (hi >= lo), and n is kept to int32
+// counters.
+func useDense(lo, hi uint64, n int) bool {
+	return n > 0 && n <= math.MaxInt32 && hi-lo < denseSpanFactor*uint64(n)
+}
+
+// profScratch holds profileStreams' working buffers between calls.
+// counts is all zero whenever the scratch is in profPool: the dense walk
+// clears every slot it reads.
+type profScratch struct {
+	loads    []int    // per-bank request counts of compact profiles
+	distinct []int    // per-bank distinct-location counts
+	counts   []int32  // dense per-location counts, indexed by address − lo
+	sorted   []uint64 // flat copy of the addresses for the sort branch
+	radix    []uint64 // radix sort destination
+}
+
+var profPool = sync.Pool{New: func() any { return new(profScratch) }}
+
+// zeroed returns s resized to n zeroed elements, reusing its storage.
+func zeroed(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// bankFunc is bm.Bank for the hot loops. A power-of-two InterleaveMap,
+// the default map of every catalogue machine, becomes a mask instead of
+// an interface call and a division per address.
+type bankFunc struct {
+	bm   BankMap
+	mask uint64
+	pow2 bool
+}
+
+func newBankFunc(bm BankMap) bankFunc {
+	if m, ok := bm.(InterleaveMap); ok && m.Banks > 0 && m.Banks&(m.Banks-1) == 0 {
+		return bankFunc{mask: uint64(m.Banks - 1), pow2: true}
+	}
+	return bankFunc{bm: bm}
+}
+
+func (f bankFunc) bank(a uint64) int {
+	if f.pow2 {
+		return int(a & f.mask)
+	}
+	return f.bm.Bank(a)
+}
+
+// profileStreams is the counting core behind every ComputeProfile entry
+// point. streams holds the n addresses grouped any way (per processor, or
+// one flat stream); procs and maxH are the issue shape the caller knows.
+// Warm calls allocate only a retained BankLoads histogram (keep).
+func profileStreams(streams [][]uint64, n, procs, maxH int, bm BankMap, keep bool) Profile {
+	banks := bm.NumBanks()
+	prof := Profile{N: n, Procs: procs, Banks: banks, MaxH: maxH}
+	bank := newBankFunc(bm)
+	s := profPool.Get().(*profScratch)
+	var loads []int
+	if keep {
+		loads = make([]int, banks)
+	} else {
+		s.loads = zeroed(s.loads, banks)
+		loads = s.loads
+	}
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for _, st := range streams {
+		for _, a := range st {
+			loads[bank.bank(a)]++
+			lo = min(lo, a)
+			hi = max(hi, a)
 		}
+	}
+	for _, k := range loads {
+		prof.MaxK = max(prof.MaxK, k)
 	}
 	// Location contention (MaxLoc, DistinctLocs) and distinct locations
-	// per bank come from one sort-and-scan over a flat copy of the
-	// addresses: equal addresses form runs, each run is one distinct
-	// location. A map[uint64]int would compute the same quantities, but
-	// costs hundreds of bucket allocations and more wall clock at the
-	// 64K-request scale the experiments sweep (this function sits on the
-	// runner's per-point hot path next to sim.Run).
-	sortAddrs(addrs)
-	distinct := make([]int, banks)
-	for i := 0; i < len(addrs); {
-		j := i + 1
-		for j < len(addrs) && addrs[j] == addrs[i] {
-			j++
+	// per bank. A narrow span counts each location in a dense array; a
+	// second walk takes each location's count at its first occurrence and
+	// clears the slot, so later occurrences read zero and add nothing.
+	// The cost is O(n) whatever the span, and the array returns to the
+	// pool clean. (The walk is branch-free: which occurrence comes first
+	// is unpredictable, and a bank lookup is cheaper than a mispredict.)
+	// A wide span sorts a flat copy instead: equal addresses form runs,
+	// each run one distinct location.
+	s.distinct = zeroed(s.distinct, banks)
+	distinct := s.distinct
+	if useDense(lo, hi, n) {
+		if span := int(hi-lo) + 1; cap(s.counts) < span {
+			s.counts = make([]int32, span)
 		}
-		prof.DistinctLocs++
-		if run := j - i; run > prof.MaxLoc {
-			prof.MaxLoc = run
+		counts := s.counts
+		for _, st := range streams {
+			for _, a := range st {
+				counts[a-lo]++
+			}
 		}
-		distinct[bm.Bank(addrs[i])]++
-		i = j
+		for _, st := range streams {
+			for _, a := range st {
+				c := counts[a-lo]
+				counts[a-lo] = 0
+				first := 0
+				if c != 0 {
+					first = 1
+				}
+				prof.DistinctLocs += first
+				prof.MaxLoc = max(prof.MaxLoc, int(c))
+				distinct[bank.bank(a)] += first
+			}
+		}
+	} else if n > 0 {
+		addrs := s.sorted[:0]
+		for _, st := range streams {
+			addrs = append(addrs, st...)
+		}
+		s.sorted = addrs
+		if cap(s.radix) < n {
+			s.radix = make([]uint64, n)
+		}
+		sortAddrs(addrs, s.radix)
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && addrs[j] == addrs[i] {
+				j++
+			}
+			prof.DistinctLocs++
+			prof.MaxLoc = max(prof.MaxLoc, j-i)
+			distinct[bank.bank(addrs[i])]++
+			i = j
+		}
 	}
 	for _, k := range distinct {
-		if k > prof.MaxKDistinct {
-			prof.MaxKDistinct = k
-		}
+		prof.MaxKDistinct = max(prof.MaxKDistinct, k)
 	}
 	if keep {
-		prof.BankLoads = bankLoad
+		prof.BankLoads = loads
 	}
+	profPool.Put(s)
 	return prof
 }
 

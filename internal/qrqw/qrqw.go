@@ -51,19 +51,11 @@ func (s Step) MaxOps() int {
 }
 
 // Contention returns κ, the maximum number of accesses to any single
-// location in the step.
+// location in the step. It is core's location count (Profile.MaxLoc) of
+// the step's accesses; MaxLoc does not depend on the bank map, so one bank
+// stands in for it.
 func (s Step) Contention() int {
-	counts := make(map[uint64]int)
-	maxC := 0
-	for _, a := range s.Accesses {
-		for _, addr := range a {
-			counts[addr]++
-			if counts[addr] > maxC {
-				maxC = counts[addr]
-			}
-		}
-	}
-	return maxC
+	return core.ComputeProfileCompact(core.Pattern{PerProc: s.Accesses}, core.InterleaveMap{Banks: 1}).MaxLoc
 }
 
 // Cost returns the QRQW time of the step: max(MaxOps, Contention).

@@ -60,6 +60,8 @@ type Machine struct {
 	opCycles   map[string]float64
 	maxLoc     int // worst location contention seen in any superstep
 
+	addrs []uint64 // address buffer reused by every irregular superstep
+
 	trace   TraceFunc
 	capture CaptureFunc
 }
@@ -176,20 +178,33 @@ func (vm *Machine) strideCost(n, k int) float64 {
 	return vm.mach.G * float64(k) * float64(n) / p
 }
 
+// addrBuf returns the Machine's address buffer resized to n. Each
+// irregular operation fills it and hands it to irregularCost; nothing
+// keeps it past that call (CaptureFunc slices are only valid during the
+// call), so one buffer serves every superstep.
+func (vm *Machine) addrBuf(n int) []uint64 {
+	if cap(vm.addrs) < n {
+		vm.addrs = make([]uint64, n)
+	}
+	return vm.addrs[:n]
+}
+
 // irregularCost charges the superstep cost of n irregular requests at the
-// given simulated addresses.
+// given simulated addresses. The profile comes straight from the flat
+// stream; only Simulate mode builds the per-processor pattern sim.Run
+// executes.
 func (vm *Machine) irregularCost(op string, addrs []uint64) float64 {
 	if vm.capture != nil {
 		vm.capture(op, addrs)
 	}
-	pt := core.NewPattern(addrs, vm.mach.Procs)
-	prof := core.ComputeProfileCompact(pt, vm.bm)
+	prof := core.ComputeProfileStream(addrs, vm.mach.Procs, vm.bm)
 	if prof.MaxLoc > vm.maxLoc {
 		vm.maxLoc = prof.MaxLoc
 	}
 	var cycles float64
 	switch vm.mode {
 	case Simulate:
+		pt := core.NewPattern(addrs, vm.mach.Procs)
 		r, err := sim.Run(sim.Config{Machine: vm.mach, BankMap: vm.bm}, pt)
 		if err != nil {
 			panic(fmt.Sprintf("vector: simulation failed: %v", err))
@@ -268,7 +283,7 @@ func (vm *Machine) Map2(dst, a, b *Vec, f func(int64, int64) int64, ops float64)
 // are unit-stride.
 func (vm *Machine) Gather(dst, src, idx *Vec) {
 	vm.checkLen("Gather", dst, idx)
-	addrs := make([]uint64, idx.Len())
+	addrs := vm.addrBuf(idx.Len())
 	for i, ix := range idx.Data {
 		vm.checkIndex("Gather", ix, src)
 		addrs[i] = src.Base + uint64(ix)
@@ -282,7 +297,7 @@ func (vm *Machine) Gather(dst, src, idx *Vec) {
 // vectorized scatter on the machines modeled (last write in vector order).
 func (vm *Machine) Scatter(dst, src, idx *Vec) {
 	vm.checkLen("Scatter", src, idx)
-	addrs := make([]uint64, idx.Len())
+	addrs := vm.addrBuf(idx.Len())
 	for i, ix := range idx.Data {
 		vm.checkIndex("Scatter", ix, dst)
 		addrs[i] = dst.Base + uint64(ix)
@@ -293,7 +308,7 @@ func (vm *Machine) Scatter(dst, src, idx *Vec) {
 
 // ScatterConst scatters the constant val to dst at idx.
 func (vm *Machine) ScatterConst(dst *Vec, val int64, idx *Vec) {
-	addrs := make([]uint64, idx.Len())
+	addrs := vm.addrBuf(idx.Len())
 	for i, ix := range idx.Data {
 		vm.checkIndex("ScatterConst", ix, dst)
 		addrs[i] = dst.Base + uint64(ix)
@@ -309,7 +324,7 @@ func (vm *Machine) ScatterConst(dst *Vec, val int64, idx *Vec) {
 // cheaper histogram build one explicitly, as the radix sort does.
 func (vm *Machine) ScatterAdd(dst, src, idx *Vec) {
 	vm.checkLen("ScatterAdd", src, idx)
-	addrs := make([]uint64, idx.Len())
+	addrs := vm.addrBuf(idx.Len())
 	for i, ix := range idx.Data {
 		vm.checkIndex("ScatterAdd", ix, dst)
 		addrs[i] = dst.Base + uint64(ix)
