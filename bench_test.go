@@ -619,39 +619,3 @@ func eventEngineSeconds(b *testing.B, cfgs []sim.Config, pt core.Pattern) float6
 	}
 	return time.Since(start).Seconds()
 }
-
-// --- Surrogate-routed huge grid -------------------------------------------
-
-// BenchmarkSurrogateGrid is the headline number for the analytic
-// surrogate: the F14 huge grid (p to 4096, x to 64, n = 64p) run end to
-// end through the runner with auto routing — exactly the path
-// `dxbench -surrogate auto -experiment F14` takes. Small cells still
-// event-simulate (exactness is free there); the large rows, whose
-// request counts cross DefaultSurrogateThreshold, answer in closed form.
-// points/sec counts grid cells per wall-clock second on one worker; a
-// fresh runner per iteration keeps the cache from memoizing the work
-// away. This entry joins BENCH_history.json but not the regression
-// gate: the split between simulated and routed cells is a routing
-// policy, not a hot path.
-func BenchmarkSurrogateGrid(b *testing.B) {
-	e, ok := experiments.Lookup("F14")
-	if !ok {
-		b.Fatal("unknown experiment F14")
-	}
-	cfg := experiments.DefaultConfig()
-	ctx := context.Background()
-	var points float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		r := &runner.Runner{Parallel: 1, Cache: runner.NewCache(),
-			Surrogate: runner.SurrogateRouting{Mode: runner.SurrogateAuto}}
-		res, err := r.RunExperiment(ctx, e, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		points += float64(res.Stats.Points)
-	}
-	b.ReportMetric(points/time.Since(start).Seconds(), "points/sec")
-}

@@ -23,8 +23,6 @@
 //	dxbench -merge DIR               # merge shard/worker journals
 //	dxbench -checkpoint DIR -coordinate  # supervise a distributed sweep
 //	dxbench -checkpoint DIR -worker -worker-id a  # claim and run ranges
-//	dxbench -surrogate auto  # route large eligible points to the closed form
-//	dxbench -surrogate auto -experiment F14  # huge grid, interactive
 //	dxbench -metrics         # append bank heatmap + metric series report
 //	dxbench -metrics-out m.json      # export metrics (JSON; .om/.txt: OpenMetrics)
 //	dxbench -cpuprofile cpu.pprof    # CPU profile of the run (go tool pprof)
@@ -119,11 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		showMetrics = fs.Bool("metrics", false, "append an observability report: bank heatmap, metric series, cycle summary")
 		metricsOut  = fs.String("metrics-out", "", "export metric series to this file (.json: JSON, otherwise OpenMetrics text)")
-
-		surrMode = fs.String("surrogate", "never",
-			"route eligible points to the closed-form surrogate: never, auto (above -surrogate-threshold), or always")
-		surrThreshold = fs.Int("surrogate-threshold", 0,
-			fmt.Sprintf("request count at which -surrogate auto routes a point (default %d)", runner.DefaultSurrogateThreshold))
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitHard
@@ -215,18 +208,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	surrogateMode, err := runner.ParseSurrogateMode(*surrMode)
-	if err != nil {
-		fmt.Fprintf(stderr, "dxbench: %v\n", err)
-		return exitHard
-	}
-
 	if *list {
-		for _, e := range experiments.All() {
+		for _, e := range append(experiments.All(), experiments.Huge()...) {
 			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
-		}
-		for _, e := range experiments.Huge() {
-			fmt.Fprintf(stdout, "%-4s %s (huge: run with -surrogate auto)\n", e.ID, e.Title)
 		}
 		return 0
 	}
@@ -271,7 +255,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// is footnoted and the run exits with code 2.
 		Degraded:     true,
 		PointTimeout: *pointLimit,
-		Surrogate:    runner.SurrogateRouting{Mode: surrogateMode, Threshold: *surrThreshold},
 	}
 	if !*nocache {
 		r.Cache = runner.NewCache()

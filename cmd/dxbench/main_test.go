@@ -127,7 +127,7 @@ func TestRunParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick suite")
 	}
-	ids := []string{"T2", "F2", "F5", "F6", "F7", "F10", "X2", "X13"}
+	ids := []string{"T2", "F2", "F5", "F6", "F7", "F10", "X2", "X13", "F14"}
 	for _, id := range ids {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -309,66 +309,13 @@ func TestCheckpointResumeTruncated(t *testing.T) {
 	}
 }
 
-// TestSurrogateDeterministic pins the byte-determinism contract under
-// surrogate routing: -surrogate always must produce identical output
-// (tables and metrics) for every worker count, exactly like plain runs.
-func TestSurrogateDeterministic(t *testing.T) {
-	mfile := filepath.Join(t.TempDir(), "m.om")
-	out1, _, code := runBench(t, "-quick", "-experiment", "F14", "-surrogate", "always",
-		"-parallel", "1", "-metrics-out", mfile)
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	m1, err := os.ReadFile(mfile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out8, _, code := runBench(t, "-quick", "-experiment", "F14", "-surrogate", "always",
-		"-parallel", "8", "-metrics-out", mfile)
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	m8, err := os.ReadFile(mfile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out1 != out8 {
-		t.Errorf("-surrogate always output differs across -parallel 1/8:\n%s\n---\n%s", out1, out8)
-	}
-	if string(m1) != string(m8) {
-		t.Errorf("-surrogate always metrics differ across -parallel 1/8:\n%s\n---\n%s", m1, m8)
-	}
-	if !regexp.MustCompile(`[0-9]\*`).MatchString(out1) {
-		t.Errorf("no surrogate-tagged cells under -surrogate always:\n%s", out1)
-	}
-	if !strings.Contains(string(m1), "dxbsp_surrogate_points") {
-		t.Errorf("metrics export missing surrogate series:\n%s", m1)
-	}
-}
-
-// TestSurrogateModes: never must leave output untouched (no tags, no
-// surrogate series), and a bad mode is a usage error.
-func TestSurrogateModes(t *testing.T) {
-	out, _, code := runBench(t, "-quick", "-experiment", "F14", "-surrogate", "never")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	if regexp.MustCompile(`[0-9]\*`).MatchString(out) {
-		t.Errorf("surrogate tags under -surrogate never:\n%s", out)
-	}
-	if _, errOut, code := runBench(t, "-surrogate", "sometimes"); code != exitHard ||
-		!strings.Contains(errOut, "surrogate mode") {
-		t.Errorf("bad mode: exit %d, stderr %q", code, errOut)
-	}
-}
-
 // TestListIncludesHuge: the huge-grid registry is discoverable.
 func TestListIncludesHuge(t *testing.T) {
 	out, _, code := runBench(t, "-list")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	if !strings.Contains(out, "F14") || !strings.Contains(out, "-surrogate auto") {
+	if !regexp.MustCompile(`(?m)^F14 +Huge scatter grid$`).MatchString(out) {
 		t.Errorf("list missing huge experiments:\n%s", out)
 	}
 }

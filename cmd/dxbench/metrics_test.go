@@ -15,23 +15,28 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 // stream (tables + heatmap + series + summary footer) is byte-identical
 // for any worker count, with and without the cache.
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
-	base, _, code := runBench(t, "-quick", "-experiment", "T2", "-metrics", "-parallel", "1")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	for _, extra := range [][]string{
-		{"-parallel", "4"},
-		{"-parallel", "8"},
-		{"-parallel", "4", "-nocache"},
-	} {
-		args := append([]string{"-quick", "-experiment", "T2", "-metrics"}, extra...)
-		out, _, code := runBench(t, args...)
-		if code != 0 {
-			t.Fatalf("%v: exit %d", extra, code)
-		}
-		if out != base {
-			t.Errorf("%v: -metrics output differs from -parallel 1", extra)
-		}
+	for _, id := range []string{"T2", "F14"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			base, _, code := runBench(t, "-quick", "-experiment", id, "-metrics", "-parallel", "1")
+			if code != 0 {
+				t.Fatalf("exit %d", code)
+			}
+			for _, extra := range [][]string{
+				{"-parallel", "4"},
+				{"-parallel", "8"},
+				{"-parallel", "4", "-nocache"},
+			} {
+				args := append([]string{"-quick", "-experiment", id, "-metrics"}, extra...)
+				out, _, code := runBench(t, args...)
+				if code != 0 {
+					t.Fatalf("%v: exit %d", extra, code)
+				}
+				if out != base {
+					t.Errorf("%v: -metrics output differs from -parallel 1", extra)
+				}
+			}
+		})
 	}
 }
 

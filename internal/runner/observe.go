@@ -47,12 +47,6 @@ type Observer struct {
 	contribs map[string]*contribution
 	unkeyed  uint64 // successful runs with no SimKey (custom bank map)
 
-	// surr holds the routed-to-surrogate points, keyed like contribs so
-	// re-executions dedupe; the value is the pinned max-rel-err bound for
-	// the point's regime. surrUnkeyed tallies unfingerprintable routes.
-	surr        map[string]float64
-	surrUnkeyed uint64
-
 	volMu       sync.Mutex
 	pointSecs   []float64
 	experiments int
@@ -156,26 +150,6 @@ func fold(res sim.Result, sc *sim.Counters) contribution {
 	return c
 }
 
-// ObserveSurrogate records one simulation request answered by the
-// closed-form surrogate instead of the event simulator, with the pinned
-// error bound for its regime. Keyed by the same content fingerprint as
-// simulations, so routed totals stay a pure function of the distinct
-// routed set for any worker count.
-func (o *Observer) ObserveSurrogate(cfg sim.Config, pt core.Pattern, bound float64) {
-	key, ok := SimKey(cfg, pt)
-	o.mu.Lock()
-	switch {
-	case !ok:
-		o.surrUnkeyed++
-	default:
-		if o.surr == nil {
-			o.surr = make(map[string]float64)
-		}
-		o.surr[key] = bound
-	}
-	o.mu.Unlock()
-}
-
 // ObservePoint records one point execution's wall time.
 func (o *Observer) ObservePoint(d time.Duration) {
 	o.volMu.Lock()
@@ -269,20 +243,6 @@ func (o *Observer) Registry() *metrics.Registry {
 		cyclesH.Observe(c.res.Cycles)
 		bankHWM.SetMax(float64(c.res.MaxBankQueue))
 		sectHWM.SetMax(float64(c.res.MaxSectionQueue))
-	}
-	// Surrogate series exist only when routing happened: a run that never
-	// touched the surrogate exports the exact same series set as before
-	// the router existed.
-	if len(o.surr) > 0 || o.surrUnkeyed > 0 {
-		surrPts := reg.Counter("dxbsp_surrogate_points", "simulation requests answered by the closed-form surrogate")
-		surrPts.Add(float64(len(o.surr)) + float64(o.surrUnkeyed))
-		bound := 0.0
-		for _, b := range o.surr {
-			if b > bound {
-				bound = b
-			}
-		}
-		reg.Gauge("dxbsp_surrogate_maxrelerr", "worst pinned error bound among routed regimes").Set(bound)
 	}
 	unkeyed := o.unkeyed
 	o.mu.Unlock()

@@ -66,12 +66,6 @@ type Runner struct {
 	// footnoted cell by Assemble) instead of aborting the experiment.
 	// Run-level cancellation still aborts.
 	Degraded bool
-
-	// Surrogate routes simulation requests to the closed-form surrogate
-	// (internal/surrogate) by mode and size threshold. The router sits
-	// outermost — above probe, cache and journal — so routed points skip
-	// the whole simulation stack. The zero value routes nothing.
-	Surrogate SurrogateRouting
 }
 
 // Stats describes one experiment's execution.
@@ -186,9 +180,6 @@ func (r *Runner) RunExperiment(ctx context.Context, e experiments.Experiment, cf
 	}
 	if r.Metrics != nil {
 		cfg.Sim = &probeRunner{next: cfg.Sim, probe: r.Metrics}
-	}
-	if r.Surrogate.Mode != SurrogateNever {
-		cfg.Sim = &surrogateRouter{policy: r.Surrogate, next: cfg.Sim, obs: r.Metrics}
 	}
 	start := time.Now()
 

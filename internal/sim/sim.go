@@ -133,11 +133,6 @@ type Result struct {
 	// a bank's line behind a conflicting lane of the same or an earlier
 	// warp — rather than start on arrival (always 0 outside GPUShared).
 	WarpReplays int
-	// Analytic marks a result produced by the closed-form surrogate
-	// (internal/surrogate) instead of event simulation. The simulator
-	// never sets it; renderers and metrics use it to tag mixed
-	// sim/surrogate sweeps.
-	Analytic bool
 }
 
 // CyclesPerElement returns processor-cycles per element, the unit the

@@ -6,7 +6,7 @@
 // testdata/envelope.json (embedded below) and published as a table
 // under docs/ — tests fail if the measured envelope drifts from the pin
 // (accuracy regressions are caught exactly like perf regressions), and
-// the router reports the pinned bound for the regimes it routes.
+// MaxRelErr reports the pinned bound for a config's regime.
 
 package surrogate
 
@@ -84,8 +84,7 @@ var pinnedOnce = sync.OnceValue(func() Envelope {
 	return e
 })
 
-// Pinned returns the committed error envelope the tests enforce and the
-// router reports.
+// Pinned returns the committed error envelope the tests enforce.
 func Pinned() Envelope { return pinnedOnce() }
 
 // MaxRelErr returns the pinned maximum relative error for cfg's regime,

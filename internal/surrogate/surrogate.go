@@ -6,13 +6,12 @@
 // the same Config and Pattern the event simulator takes, Predict returns
 // a Result whose Cycles comes from the (d,x)-BSP law, an M/D/1
 // Pollaczek–Khinchine waiting term, and a windowed/pipelined round-trip
-// model — in microseconds instead of the simulator's milliseconds to
-// seconds, which is what makes p=4096 / x=64 sweeps interactive.
+// model — in microseconds, without running the machine.
 //
 // The simulator is the oracle: the surrogate's relative error against it
 // is measured over a seeded config sweep, pinned in testdata (see
-// envelope.go), and enforced by tests, so routing a point through the
-// surrogate trades a *known, bounded* amount of accuracy for speed.
+// envelope.go), and enforced by tests, so the model's accuracy is a
+// *known, bounded* quantity rather than a hope.
 //
 // Eligibility is explicit. FIFO and Regulated banks, any issue window,
 // any bank map, with a full crossbar and no combining, are supported;
@@ -111,11 +110,10 @@ func effectiveBankDelay(c sim.Config) float64 {
 
 // Predict returns the closed-form result for simulating pt under cfg,
 // using the pattern's exact contention profile (max h, max k) in the
-// cost law. The returned Result has Analytic set, Cycles from the
-// model, and the profile-derivable counters (Requests, BankServices,
-// MaxBankServed) filled; queue high-water marks and discipline counters
-// are zero. Ineligible configs return the same typed errors as
-// Eligible.
+// cost law. The returned Result has Cycles from the model and the
+// profile-derivable counters (Requests, BankServices, MaxBankServed)
+// filled; queue high-water marks and discipline counters are zero.
+// Ineligible configs return the same typed errors as Eligible.
 func Predict(cfg sim.Config, pt core.Pattern) (sim.Result, error) {
 	if err := Eligible(cfg); err != nil {
 		return sim.Result{}, err
@@ -129,7 +127,6 @@ func Predict(cfg sim.Config, pt core.Pattern) (sim.Result, error) {
 		BankServices:  p.N,
 		MaxBankServed: p.MaxK,
 		BankBusy:      float64(p.N) * c.Machine.D,
-		Analytic:      true,
 	}, nil
 }
 
@@ -156,7 +153,6 @@ func PredictStats(cfg sim.Config, n, maxLoc int) (sim.Result, error) {
 		BankServices:  n,
 		MaxBankServed: kInt,
 		BankBusy:      float64(n) * m.D,
-		Analytic:      true,
 	}, nil
 }
 

@@ -89,9 +89,6 @@ func TestPredictSerializedBank(t *testing.T) {
 	if math.Abs(res.Cycles-want) > 1e-9 {
 		t.Errorf("all-same cycles %v, want %v", res.Cycles, want)
 	}
-	if !res.Analytic {
-		t.Error("surrogate result not tagged Analytic")
-	}
 	if res.MaxBankServed != n {
 		t.Errorf("MaxBankServed = %d, want %d", res.MaxBankServed, n)
 	}
@@ -155,9 +152,6 @@ func TestPredictStatsConsistent(t *testing.T) {
 	stats, err := PredictStats(cfg, pt.N(), 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !stats.Analytic {
-		t.Error("PredictStats result not tagged Analytic")
 	}
 	rel := math.Abs(stats.Cycles-exact.Cycles) / exact.Cycles
 	if rel > 0.30 {
